@@ -183,7 +183,7 @@ def check_compose_double(seed: int = 202) -> CheckResult:
 
 
 def check_cross_algorithm(seed: int = 303) -> CheckResult:
-    """Exp-convolution route against the factorization-sum oracle."""
+    """exp2 recurrence route against the factorization-sum oracle."""
     t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     truncs = (32, 32)

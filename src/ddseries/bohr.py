@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .double import DoubleDirichletSeries
+from .double import DoubleDirichletSeries, make_double_series
 from .factor import factorize
-from .series import PRUNE_BELOW, DirichletSeries
+from .series import PRUNE_BELOW, DirichletSeries, make_series
 
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
 
@@ -116,10 +116,11 @@ def lift(D: DirichletSeries) -> PrimePolynomial:
 
 
 def unlift(P: PrimePolynomial, truncation: int | None = None) -> DirichletSeries:
+    """Inverse Bohr lift; an index above the truncation raises ValueError."""
     terms = {multiindex_to_index(alpha): c for alpha, c in P.terms.items()}
     if truncation is None:
         truncation = max(terms, default=1)
-    return DirichletSeries(terms, truncation)
+    return make_series(terms.items(), truncation)
 
 
 def lift_double(D: DoubleDirichletSeries) -> DoublePrimePolynomial:
@@ -132,6 +133,8 @@ def lift_double(D: DoubleDirichletSeries) -> DoublePrimePolynomial:
 
 
 def unlift_double(P: DoublePrimePolynomial, truncations=None) -> DoubleDirichletSeries:
+    """Inverse Bohr lift of a double polynomial; an index pair outside the
+    truncations raises ValueError."""
     terms = {
         (multiindex_to_index(a), multiindex_to_index(b)): c for (a, b), c in P.terms.items()
     }
@@ -140,7 +143,7 @@ def unlift_double(P: DoublePrimePolynomial, truncations=None) -> DoubleDirichlet
             max((m for m, _ in terms), default=1),
             max((n for _, n in terms), default=1),
         )
-    return DoubleDirichletSeries(terms, tuple(truncations))
+    return make_double_series(terms.items(), truncations)
 
 
 def eval_point(P: PrimePolynomial, z) -> complex:

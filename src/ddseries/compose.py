@@ -4,13 +4,14 @@ A symbol in one variable is c0*s + phi(s) with c0 a non-negative integer
 and phi a truncated Dirichlet series; in two variables each component is
 c*s + d*t + phi_j(s,t) with four non-negative integer slopes.  The core
 primitive is the expansion of k^{-symbol} as a (double) Dirichlet series,
-computed along two independent routes: the production exp-convolution path
+computed along two independent routes: the production exp-recurrence path
 and the factorization-sum path used as an oracle.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -23,18 +24,19 @@ from .bohr import (
 )
 from .double import (
     DoubleDirichletSeries,
-    constant_double,
+    _rows,
+    add2,
     evaluate2,
-    mul2,
+    scale2,
     zero_double,
 )
 from .factor import pair_factorizations
 from .series import (
     DirichletSeries,
+    _pruned,
     evaluate,
     exp_series,
     log_series,
-    mul,
     scale,
     zero_series,
 )
@@ -173,43 +175,57 @@ def _char_power_component(k: int, c: int, d: int, phi: DoubleDirichletSeries,
     )
 
 
-def scale_double(A: DoubleDirichletSeries, c: complex) -> DoubleDirichletSeries:
-    from .double import scale2
-
-    return scale2(A, c)
+scale_double = scale2
 
 
 def exp2(phi: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
     """Formal exponential of a double series, mirroring exp_series.
 
-    Terms of the constant-free part have m*n >= 2, so the power sum is
-    finite with at most log2(M*N) rounds.
+    The total derivation f'(m, n) = f(m, n) ln(mn) is additive under the
+    pair product and vanishes only at (1, 1), so with psi = phi - b_{1,1}
+    the coefficients of E = exp(psi) obey
+
+        e_{m,n} = (1/ln(mn)) sum_{(d,f) | (m,n), (d,f) != (1,1)}
+                  ln(df) * psi_{d,f} * e_{m/d, n/f},
+
+    solved in increasing order of m*n (a heap) over the pair products of
+    support elements of psi only.  The row loop stops at d > M // m and the
+    entry loop at f > N // n: O(|E| * |psi|), never a loop over [1,M]x[1,N].
     """
     M, N = truncations
-    b11 = phi.terms.get((1, 1), 0j)
-    psi = DoubleDirichletSeries(
-        {k: v for k, v in phi.terms.items() if k != (1, 1)}, truncations
-    )
+    gens = _rows({(d, f): math.log(d * f) * v for (d, f), v in phi.terms.items()
+                  if (d, f) != (1, 1) and d <= M and f <= N})
+    acc = {(d, f): g for d, row in gens for f, g in row}
+    heap = sorted((d * f, d, f) for d, f in acc)
     out = {(1, 1): 1 + 0j}
-    power = constant_double(1, truncations)
-    rmax = int(math.log2(M * N)) if M * N > 1 else 0
-    for r in range(1, rmax + 1):
-        power = mul2(power, psi, truncations)
-        if power.is_zero():
-            break
-        inv_fact = 1.0 / math.factorial(r)
-        for kk, v in power.terms.items():
-            out[kk] = out.get(kk, 0j) + v * inv_fact
-    factor = cmath.exp(b11)
-    return DoubleDirichletSeries(
-        {kk: factor * v for kk, v in out.items() if abs(factor * v) >= 1e-300},
-        (M, N),
-    )
+    while heap:
+        mn, m, n = heapq.heappop(heap)
+        e = acc.pop((m, n)) / math.log(mn)
+        out[(m, n)] = e
+        dmax, fmax = M // m, N // n
+        for d, row in gens:
+            if d > dmax:
+                break
+            for f, g in row:
+                if f > fmax:
+                    break
+                key = (m * d, n * f)
+                if key in acc:
+                    acc[key] += e * g
+                else:
+                    acc[key] = e * g
+                    heapq.heappush(heap, (key[0] * key[1], key[0], key[1]))
+    factor = cmath.exp(phi.terms.get((1, 1), 0j))
+    return DoubleDirichletSeries(_pruned({k: factor * v for k, v in out.items()}), (M, N))
 
 
 def char_power_double(k: int, l: int, sym: DoubleSymbol, truncations) -> DoubleDirichletSeries:
     """The double Dirichlet series of k^{-phi_1(s,t)} l^{-phi_2(s,t)} with
-    the slope shifts (M, N) -> (k^c1 l^c2 M, k^d1 l^d2 N) applied."""
+    the slope shifts (M, N) -> (k^c1 l^c2 M, k^d1 l^d2 N) applied.
+
+    exp is a homomorphism, so the product is one exp2 of
+    -ln k * phi_1 - ln l * phi_2.
+    """
     if k < 1 or l < 1:
         raise ValueError("char_power_double requires k, l >= 1")
     M, N = truncations
@@ -218,9 +234,11 @@ def char_power_double(k: int, l: int, sym: DoubleSymbol, truncations) -> DoubleD
     if sm > M or sn > N:
         return zero_double(truncations)
     inner_t = (M // sm, N // sn)
-    e1 = exp2(scale_double(sym.phi1, -math.log(k)), inner_t)
-    e2 = exp2(scale_double(sym.phi2, -math.log(l)), inner_t)
-    prod = mul2(e1, e2, inner_t)
+    log_char = add2(
+        scale2(DoubleDirichletSeries(sym.phi1.terms, inner_t), -math.log(k)),
+        scale2(DoubleDirichletSeries(sym.phi2.terms, inner_t), -math.log(l)),
+    )
+    prod = exp2(log_char, inner_t)
     return DoubleDirichletSeries(
         {(m * sm, n * sn): v for (m, n), v in prod.terms.items()}, (M, N)
     )
@@ -231,7 +249,7 @@ def char_power_via_factorizations(k: int, phi: DoubleDirichletSeries,
     """Oracle route for the series of k^{-phi(s,t)}: coefficients summed
     over all pair factorizations of each output index.
 
-    Exponential in the worst case; exists to arbitrate the exp-convolution
+    Exponential in the worst case; exists to arbitrate the exp-recurrence
     path and is exercised by the cross-algorithm tests.
     """
     if k < 2:

@@ -11,11 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .series import PRUNE_BELOW, DirichletSeries, _check_finite, evaluate
-
-
-def _pruned(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if abs(v) >= PRUNE_BELOW}
+from .series import DirichletSeries, _check_finite, _check_index, _pruned, evaluate
 
 
 @dataclass(frozen=True)
@@ -49,6 +45,7 @@ def make_double_series(terms, truncations) -> DoubleDirichletSeries:
         raise ValueError("truncations must be positive integers")
     out: dict[tuple[int, int], complex] = {}
     for (m, n), c in terms:
+        m, n = _check_index(m), _check_index(n)
         if m < 1 or n < 1:
             raise ValueError("index pair (%r, %r) out of range" % (m, n))
         if m > M or n > N:
@@ -82,17 +79,36 @@ def scale2(A: DoubleDirichletSeries, c: complex) -> DoubleDirichletSeries:
     return DoubleDirichletSeries(_pruned({k: v * c for k, v in A.terms.items()}), A.truncations)
 
 
+def _rows(terms: dict) -> list:
+    """Terms as [(m, [(n, a_{m,n}), ...]), ...], rows and entries sorted."""
+    rows: dict[int, list] = {}
+    for (m, n), v in sorted(terms.items()):
+        rows.setdefault(m, []).append((n, v))
+    return list(rows.items())
+
+
 def mul2(A: DoubleDirichletSeries, B: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
-    """Two-variable Dirichlet convolution, truncated componentwise."""
+    """Two-variable Dirichlet convolution, truncated componentwise.
+
+    B is grouped by its first index into sorted rows; for each (d, e) of A
+    the row loop stops at f > M // d and the entry loop at g > N // e, so
+    only in-range pairs are visited: O(MN log M log N) for dense inputs
+    instead of |A|*|B|.
+    """
     M, N = truncations
+    rows = _rows(B.terms)
     out: dict[tuple[int, int], complex] = {}
     for (d, e), a in A.terms.items():
-        if d > M or e > N:
-            continue
-        for (f, g), b in B.terms.items():
-            m, n = d * f, e * g
-            if m <= M and n <= N:
-                out[(m, n)] = out.get((m, n), 0j) + a * b
+        fmax, gmax = M // d, N // e
+        for f, row in rows:
+            if f > fmax:
+                break
+            m = d * f
+            for g, b in row:
+                if g > gmax:
+                    break
+                key = (m, e * g)
+                out[key] = out.get(key, 0j) + a * b
     return DoubleDirichletSeries(_pruned(out), (M, N))
 
 

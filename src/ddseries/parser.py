@@ -28,6 +28,9 @@ from .double import (
 from .series import DirichletSeries
 
 MAX_INPUT = 1 << 20  # 1 MB
+# Each parenthesis level costs three frames of the recursive descent; the
+# cap keeps deep nesting a ParseError instead of a RecursionError.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -85,6 +88,7 @@ class _Parser:
         self.pos = 0
         self.truncs = truncations
         self.saw_t = False
+        self.depth = 0
 
     def peek(self, offset=0):
         i = self.pos + offset
@@ -128,8 +132,14 @@ class _Parser:
     def factor(self):
         tok = self.take()
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(
+                    "parentheses nested deeper than %d" % MAX_DEPTH, tok.line, tok.column
+                )
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if tok.kind == "atom":
             base_txt, var = tok.text.split("^-")

@@ -10,7 +10,9 @@ truncation.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 # Coefficients produced by cancellation are pruned only below this magnitude,
@@ -23,6 +25,16 @@ def _check_finite(c: complex) -> complex:
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError("non-finite coefficient: %r" % (c,))
     return c
+
+
+def _check_index(n) -> int:
+    """n as a Python int; bools and non-integer types are rejected."""
+    if isinstance(n, bool):
+        raise ValueError("index %r is not an integer" % (n,))
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError("index %r is not an integer" % (n,)) from None
 
 
 def _pruned(terms: dict) -> dict:
@@ -56,13 +68,14 @@ class DirichletSeries:
 def make_series(terms, truncation: int) -> DirichletSeries:
     """Build a series from (index, coefficient) pairs.
 
-    Duplicate indices, indices outside 1..truncation and non-finite
-    coefficients are rejected.
+    Duplicate indices, non-integer or bool indices, indices outside
+    1..truncation and non-finite coefficients are rejected.
     """
     if truncation < 1:
         raise ValueError("truncation must be a positive integer")
     out: dict[int, complex] = {}
     for n, c in terms:
+        n = _check_index(n)
         if n < 1:
             raise ValueError("index %r out of range (must be >= 1)" % (n,))
         if n > truncation:
@@ -97,15 +110,21 @@ def scale(A: DirichletSeries, c: complex) -> DirichletSeries:
 
 
 def mul(A: DirichletSeries, B: DirichletSeries, truncation: int) -> DirichletSeries:
-    """Dirichlet convolution c_n = sum_{d*e=n} a_d b_e, n <= truncation."""
+    """Dirichlet convolution c_n = sum_{d*e=n} a_d b_e, n <= truncation.
+
+    B's terms are sorted once and the inner loop stops at the first
+    e > truncation // d, so only pairs that land in range are visited:
+    O(N log N) for dense inputs instead of |A|*|B|.
+    """
+    bs = sorted(B.terms.items())
     out: dict[int, complex] = {}
     for d, a in A.terms.items():
-        if d > truncation:
-            continue
-        for e, b in B.terms.items():
+        bound = truncation // d
+        for e, b in bs:
+            if e > bound:
+                break
             n = d * e
-            if n <= truncation:
-                out[n] = out.get(n, 0j) + a * b
+            out[n] = out.get(n, 0j) + a * b
     return DirichletSeries(_pruned(out), truncation)
 
 
@@ -123,24 +142,57 @@ def translate(D: DirichletSeries, sigma: float) -> DirichletSeries:
     )
 
 
-def exp_series(phi: DirichletSeries, truncation: int) -> DirichletSeries:
-    """Formal exponential exp(a_1) * sum_r (phi - a_1)^r / r!.
+def _recurrence(acc: dict, gens: list, finish, truncation: int) -> dict:
+    """Solve a triangular recurrence over the indices reachable from acc.
 
-    The constant-free part has minimal index >= 2, so powers beyond
-    log2(truncation) vanish under truncation and the sum is finite.
+    Indices are taken in increasing order from a heap.  finish(n, acc_n)
+    turns the sum gathered at n into (value_n, weight_n); weight_n * g_e is
+    then pushed to n*e for every generator (e, g_e) of the sorted list gens
+    with n*e <= truncation.  Every push goes to a larger index, so acc_n is
+    complete when n is taken.  The cost is the number of pushes, at most
+    |result| * |gens|, and indices that no product reaches are never visited.
+    """
+    heap = sorted(acc)
+    out = {}
+    while heap:
+        n = heapq.heappop(heap)
+        value, weight = finish(n, acc.pop(n))
+        out[n] = value
+        bound = truncation // n
+        for e, g in gens:
+            if e > bound:
+                break
+            m = n * e
+            if m in acc:
+                acc[m] += weight * g
+            else:
+                acc[m] = weight * g
+                heapq.heappush(heap, m)
+    return out
+
+
+def exp_series(phi: DirichletSeries, truncation: int) -> DirichletSeries:
+    """Formal exponential exp(a_1) * exp(psi), psi = phi - a_1.
+
+    The derivation f'(n) = f(n) ln n satisfies (f*g)' = f'*g + f*g', so
+    E = exp(psi) obeys E' = psi' * E:
+
+        e_1 = 1,   e_n = (1/ln n) sum_{d | n, d > 1} ln d * psi_d * e_{n/d}.
+
+    The support is the set of products of support elements of psi (and 1).
+    Solved in one pass over that set (see _recurrence): O(|E| * |psi|) and
+    O(N log N) for dense input, never a loop over 1..N.
     """
     a1 = phi.terms.get(1, 0j)
-    psi = DirichletSeries({n: c for n, c in phi.terms.items() if n != 1}, truncation)
+    gens = sorted((d, math.log(d) * c) for d, c in phi.terms.items() if 1 < d <= truncation)
+
+    def finish(n, s):
+        e = s / math.log(n)
+        return e, e
+
     out = {1: 1 + 0j}
-    power = constant_series(1, truncation)
-    rmax = int(math.log2(truncation)) if truncation > 1 else 0
-    for r in range(1, rmax + 1):
-        power = mul(power, psi, truncation)
-        if power.is_zero():
-            break
-        inv_fact = 1.0 / math.factorial(r)
-        for n, c in power.terms.items():
-            out[n] = out.get(n, 0j) + c * inv_fact
+    # the pushes from e_1 = 1 seed the recurrence
+    out.update(_recurrence(dict(gens), gens, finish, truncation))
     factor = cmath.exp(a1)
     return DirichletSeries(_pruned({n: factor * c for n, c in out.items()}), truncation)
 
@@ -149,21 +201,23 @@ def log_series(D: DirichletSeries, truncation: int) -> DirichletSeries:
     """Formal logarithm: the inverse of exp_series on indices <= truncation.
 
     Requires a nonzero constant term; the constant of the result is the
-    principal log of it.  Computed by the Mercator expansion of
-    log(1 + u) with u = D/a_1 - 1.
+    principal log of it.  With u = D/a_1, the derivation recurrence of
+    exp_series solved for L = log(u) reads
+
+        L_n = u_n - (1/ln n) sum_{d | n, 1 < d < n} ln d * L_d * u_{n/d},
+
+    one pass over the products of support elements of u: O(|L| * |u|).
     """
     a1 = D.terms.get(1, 0j)
     if a1 == 0:
         raise ValueError("log_series requires a nonzero constant term")
-    u = DirichletSeries({n: c / a1 for n, c in D.terms.items() if n != 1}, truncation)
+    u = {n: c / a1 for n, c in D.terms.items() if 1 < n <= truncation}
+
+    def finish(n, s):
+        ln = math.log(n)
+        value = u.get(n, 0j) - s / ln
+        return value, ln * value
+
     out = {1: cmath.log(a1)}
-    power = constant_series(1, truncation)
-    rmax = int(math.log2(truncation)) if truncation > 1 else 0
-    for r in range(1, rmax + 1):
-        power = mul(power, u, truncation)
-        if power.is_zero():
-            break
-        coef = (-1.0) ** (r + 1) / r
-        for n, c in power.terms.items():
-            out[n] = out.get(n, 0j) + c * coef
+    out.update(_recurrence(dict.fromkeys(u, 0j), sorted(u.items()), finish, truncation))
     return DirichletSeries(_pruned(out), truncation)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddseries.bohr import (
+    DoublePrimePolynomial,
     PrimePolynomial,
     TorusSample,
     eval_torus,
@@ -89,6 +90,12 @@ class TestLift:
             (((1, 1), (2, 1)), ()): -1 + 0j,
         }
         assert unlift_double(P, D.truncations).terms == D.terms
+
+    def test_unlift_rejects_index_above_truncation(self):
+        with pytest.raises(ValueError):
+            unlift(PrimePolynomial({((1, 7),): 1 + 0j}), 64)
+        with pytest.raises(ValueError):
+            unlift_double(DoublePrimePolynomial({(((1, 7),), ()): 1 + 0j}), (64, 64))
 
 
 class TestEvalTorus:

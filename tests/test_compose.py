@@ -27,6 +27,7 @@ from ddseries.double import (
     constant_double,
     evaluate2,
     make_double_series,
+    mul2,
     zero_double,
 )
 from ddseries.grids import boundary_grid2, halfplane_grid, halfplane_grid2
@@ -116,6 +117,19 @@ class TestCharPowerDouble:
         w1 = evaluate2(phi1, s, t)
         want = cmath.exp(-w1 * math.log(2)) * cmath.exp(-1.0 * math.log(3))
         assert abs(evaluate2(D, s, t) - want) < 1e-8
+
+    def test_components_with_different_truncations(self):
+        # k^{-phi1} l^{-phi2} as one exp2 must keep phi1's terms beyond
+        # phi2's truncation
+        phi1 = make_double_series([((12, 1), 0.5 + 0j), ((2, 3), 0.25j)], (16, 16))
+        phi2 = make_double_series([((1, 1), 0.5 + 0j), ((3, 2), -0.5 + 0j)], (4, 4))
+        T = (16, 16)
+        got = char_power_double(2, 3, DoubleSymbol(0, 0, 0, 0, phi1, phi2), T)
+        want = mul2(
+            exp2(scale_double(phi1, -math.log(2)), T), exp2(scale_double(phi2, -math.log(3)), T), T
+        )
+        assert set(got.terms) == set(want.terms)
+        assert all(abs(got.terms[x] - want.terms[x]) <= 1e-14 for x in want.terms)
 
     def test_cross_algorithm(self):
         rng = random.Random(7)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from ddseries.double import (
@@ -31,6 +32,17 @@ def random_double(rng, bound=12, n_terms=6):
 def max_coeff_diff(A, B):
     keys = set(A.terms) | set(B.terms)
     return max((abs(A.terms.get(k, 0j) - B.terms.get(k, 0j)) for k in keys), default=0.0)
+
+
+class TestMakeDoubleSeries:
+    @pytest.mark.parametrize("pair", [(2.5, 1), (1, True), (True, 2)])
+    def test_non_integer_index(self, pair):
+        with pytest.raises(ValueError):
+            make_double_series([(pair, 1 + 0j)], (4, 4))
+
+    def test_numpy_integer_index(self):
+        D = make_double_series([((np.int32(2), np.int64(3)), 1 + 0j)], (4, 4))
+        assert D.terms == {(2, 3): 1 + 0j}
 
 
 class TestAddScale:

@@ -64,6 +64,11 @@ class TestParseExpression:
         with pytest.raises(ParseError):
             parse_expression("(1 + 2^-s")
 
+    def test_nesting_depth_cap(self):
+        assert parse_expression("(" * 100 + "2^-s" + ")" * 100).terms == {2: 1 + 0j}
+        with pytest.raises(ParseError):
+            parse_expression("(" * 5000 + "2^-s" + ")" * 5000)
+
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_expression("   ")
@@ -148,6 +153,14 @@ class TestCliCommands:
         back = loads_series(capsys.readouterr().out)
         assert back.terms == {1: 1 + 0j, 2: 1 + 0j, 6: 0.5 + 0j}
 
+    def test_unlift_index_above_trunc(self, tmp_path, capsys):
+        src = tmp_path / "p.txt"
+        src.write_text("bohr v1 single\n1:7 1.0 0.0\n")
+        assert main(["unlift", "--in", str(src), "--trunc", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: index 128 exceeds truncation 64\n"
+
     def test_recover_symbol(self, tmp_path, capsys):
         two, three = tmp_path / "two.txt", tmp_path / "three.txt"
         two.write_text("2^-s")
@@ -221,6 +234,12 @@ class TestCliCommands:
         src = tmp_path / "d.txt"
         src.write_text("1 + $")
         assert main(["eval", "--in", str(src), "--s", "1"]) == 2
+
+    def test_deep_nesting_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "d.txt"
+        src.write_text("(" * 5000 + "1" + ")" * 5000)
+        assert main(["eval", "--in", str(src), "--s", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: parentheses nested deeper")
 
     def test_bad_format_file(self, tmp_path):
         src = tmp_path / "d.txt"

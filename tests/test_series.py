@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ddseries.series import (
@@ -51,6 +52,15 @@ class TestMakeSeries:
     def test_duplicate_index(self):
         with pytest.raises(ValueError):
             make_series([(2, 1 + 0j), (2, 2 + 0j)], 10)
+
+    @pytest.mark.parametrize("index", [2.5, 2.0, True, "2"])
+    def test_non_integer_index(self, index):
+        with pytest.raises(ValueError):
+            make_series([(index, 1 + 0j)], 10)
+
+    def test_numpy_integer_index(self):
+        D = make_series([(np.int64(3), 1 + 0j)], 10)
+        assert D.terms == {3: 1 + 0j} and type(next(iter(D.terms))) is int
 
     def test_non_finite_coefficient(self):
         with pytest.raises(ValueError):
