@@ -29,15 +29,12 @@ from .bohr import (
     PrimePolynomial,
     hp_norm_estimate,
     lift,
-    lift_double,
     unlift,
-    unlift_double,
 )
 from .compose import (
     DoubleSymbol,
     Symbol,
     apply,
-    apply_double,
     bohr_commutation_check,
     char_power,
     char_power_via_factorizations,
@@ -48,7 +45,7 @@ from .compose import (
 )
 from .double import constant_double, make_double_series, zero_double
 from .grids import boundary_grid2
-from .series import DirichletSeries, exp_series, log_series, make_series, mul
+from .series import DirichletSeries, _parts, exp_series, log_series, make_series, mul
 from .superpose import young_bound_verify
 
 _PROBE_IMS = (-7.3, -2.1, 0.0, 3.7, 9.4)
@@ -101,25 +98,6 @@ def _random_poly(rng, n_terms: int = 8, max_index: int = 8) -> DirichletSeries:
     return make_series([(int(n), _disk(rng, 1.0)) for n in idx], max_index)
 
 
-def check_compose_single(seed: int = 101) -> CheckResult:
-    """Composition against direct pointwise evaluation, one variable."""
-    t0 = time.monotonic()
-    rng = np.random.default_rng(seed)
-    probes = [complex(2.0, v) for v in _PROBE_IMS]
-    worst = 0.0
-    for _ in range(50):
-        sym = _random_symbol(rng, decay=3.0)
-        D = _random_poly(rng)
-        G = apply(sym, D, 512)
-        for s in probes:
-            w = sym(s)
-            exact = sum(a * cmath.exp(-w * math.log(k)) for k, a in D.terms.items())
-            got = sum(c * cmath.exp(-s * math.log(n)) for n, c in G.terms.items())
-            worst = max(worst, abs(got - exact))
-    tol = 1e-8
-    return CheckResult("compose-single", worst <= tol, worst, tol, time.monotonic() - t0)
-
-
 def _random_double_phi(rng, bound: int = 8, truncs=(8, 8), decay: float = 0.0):
     size = int(rng.integers(2, 6))
     pairs = {(1, 1)}
@@ -156,30 +134,41 @@ def _random_double_poly(rng, n_terms: int = 8, bound: int = 8):
     return make_double_series([(p, _disk(rng, 1.0)) for p in sorted(pairs)], (bound, bound))
 
 
-def check_compose_double(seed: int = 202) -> CheckResult:
-    """Composition against direct pointwise evaluation, two variables."""
+def _check_compose(name, seed, symbol, poly, truncation, probes, tol) -> CheckResult:
+    """apply(sym, D) at the probes against sum_k a_k k^{-sym(probe)}, for 50
+    random symbols and series of one or of two variables."""
     t0 = time.monotonic()
     rng = np.random.default_rng(seed)
-    probes = [(complex(2.0, v), complex(2.0, -0.7 * v)) for v in _PROBE_IMS]
     worst = 0.0
-    truncs = (256, 256)
     for _ in range(50):
-        sym = _random_double_symbol(rng)
-        D = _random_double_poly(rng)
-        G = apply_double(sym, D, truncs)
-        for s, t in probes:
-            w1, w2 = sym(s, t)
+        sym = symbol(rng)
+        D = poly(rng)
+        G = apply(sym, D, truncation)
+        for pt in probes:
+            w = _parts(sym(*_parts(pt)))
             exact = sum(
-                a * cmath.exp(-w1 * math.log(k) - w2 * math.log(l))
-                for (k, l), a in D.terms.items()
+                a * cmath.exp(-sum(wi * math.log(ki) for wi, ki in zip(w, _parts(k))))
+                for k, a in D.terms.items()
             )
             got = sum(
-                c * cmath.exp(-s * math.log(m) - t * math.log(n))
-                for (m, n), c in G.terms.items()
+                c * cmath.exp(-sum(zi * math.log(ni) for zi, ni in zip(_parts(pt), _parts(n))))
+                for n, c in G.terms.items()
             )
             worst = max(worst, abs(got - exact))
-    tol = 1e-6
-    return CheckResult("compose-double", worst <= tol, worst, tol, time.monotonic() - t0)
+    return CheckResult(name, worst <= tol, worst, tol, time.monotonic() - t0)
+
+
+def check_compose_single(seed: int = 101) -> CheckResult:
+    """Composition against direct pointwise evaluation, one variable."""
+    return _check_compose("compose-single", seed, lambda rng: _random_symbol(rng, decay=3.0),
+                          _random_poly, 512, [complex(2.0, v) for v in _PROBE_IMS], 1e-8)
+
+
+def check_compose_double(seed: int = 202) -> CheckResult:
+    """Composition against direct pointwise evaluation, two variables."""
+    probes = [(complex(2.0, v), complex(2.0, -0.7 * v)) for v in _PROBE_IMS]
+    return _check_compose("compose-double", seed, _random_double_symbol, _random_double_poly,
+                          (256, 256), probes, 1e-6)
 
 
 def check_cross_algorithm(seed: int = 303) -> CheckResult:

@@ -17,7 +17,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .bohr import NormEstimate
 from .double import DoubleDirichletSeries
-from .series import DirichletSeries
+from .series import DirichletSeries, _parts
 
 
 def _line_values(D: DirichletSeries, sigma: float, taus: np.ndarray) -> np.ndarray:
@@ -88,24 +88,25 @@ def _sup_double(D, sig, height_range, samples):
     return float(grid[i, j]), (float(t1[i]), float(t2[j]))
 
 
+def _sup(D, sigma, height_range, samples):
+    if isinstance(D, DirichletSeries):
+        return _sup_single(D, sigma, height_range, samples)
+    return _sup_double(D, sigma, height_range, samples)
+
+
 def line_sup_estimate(D, sigma, height_range=(-50.0, 50.0), samples: int = 512) -> NormEstimate:
-    """Sampled sup of |D| on the vertical line(s) Re = sigma.
+    """Sampled sup of |D| on the vertical line(s) Re = sigma (a pair of
+    abscissas for a double series).
 
     Grid over the height range plus a local refinement pass from the best
     grid point; the result is a lower bound on the true line sup.
     """
-    if isinstance(D, DirichletSeries):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        value, _ = _sup_single(D, sigma, height_range, samples)
-        return NormEstimate(value, 0.0, samples, 0, "line-sup-lower")
-    if isinstance(D, DoubleDirichletSeries):
-        s1, s2 = sigma
-        if s1 <= 0 or s2 <= 0:
-            raise ValueError("sigmas must be positive")
-        value, _ = _sup_double(D, (s1, s2), height_range, samples)
-        return NormEstimate(value, 0.0, samples, 0, "line-sup-lower")
-    raise TypeError("expected a DirichletSeries or DoubleDirichletSeries")
+    if not isinstance(D, (DirichletSeries, DoubleDirichletSeries)):
+        raise TypeError("expected a DirichletSeries or DoubleDirichletSeries")
+    if min(_parts(sigma)) <= 0:
+        raise ValueError("sigma must be positive")
+    value, _ = _sup(D, sigma, height_range, samples)
+    return NormEstimate(value, 0.0, samples, 0, "line-sup-lower")
 
 
 @dataclass
@@ -127,25 +128,18 @@ def sup_monotonicity_check(D, sigmas, etas, samples: int = 512) -> SupMonotonici
     hold; strictness is certified only when the margin exceeds the
     combined refinement slack (both sups are lower bounds).
     """
-    if isinstance(D, DirichletSeries):
-        if not 0 < sigmas < etas:
-            raise ValueError("need 0 < sigma < eta")
-    else:
-        if not all(0 < s < e for s, e in zip(sigmas, etas)):
-            raise ValueError("need 0 < sigma_i < eta_i componentwise")
+    if not all(0 < s < e for s, e in zip(_parts(sigmas), _parts(etas))):
+        raise ValueError("need 0 < sigma < eta, componentwise for a double series")
     hr = (-50.0, 50.0)
+    low_v, _ = _sup(D, sigmas, hr, samples)
+    high_v, high_arg = _sup(D, etas, hr, samples)
+    # the eta argmax seeds a second refinement on the sigma line, so a peak
+    # found at eta is never missed at sigma
     if isinstance(D, DirichletSeries):
-        low_v, _ = _sup_single(D, sigmas, hr, samples)
-        high_v, high_arg = _sup_single(D, etas, hr, samples)
-        # the eta argmax seeds a second refinement on the sigma line, so a
-        # peak found at eta is never missed at sigma
         cross, _ = _refine_single(D, sigmas, high_arg, 2.0)
-        low_v = max(low_v, cross)
     else:
-        low_v, _ = _sup_double(D, sigmas, hr, samples)
-        high_v, high_arg = _sup_double(D, etas, hr, samples)
         cross, _ = _refine_double(D, tuple(sigmas), high_arg)
-        low_v = max(low_v, cross)
+    low_v = max(low_v, cross)
     low = NormEstimate(low_v, 0.0, samples, 0, "line-sup-lower")
     high = NormEstimate(high_v, 0.0, samples, 0, "line-sup-lower")
     margin = low.value - high.value

@@ -14,32 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .double import DoubleDirichletSeries, make_double_series
-from .factor import factorize
-from .series import PRUNE_BELOW, DirichletSeries, make_series
-
-_primes: list[int] = [2, 3, 5, 7, 11, 13]
+from .double import _make
+from .factor import _prime_at, _prime_position, factorize
+from .series import PRUNE_BELOW, DirichletSeries, _key, _parts
 
 
 def prime(position: int) -> int:
     """The prime at the given 1-based position (prime(1) == 2)."""
     if position < 1:
         raise ValueError("prime position must be >= 1")
-    while len(_primes) < position:
-        c = _primes[-1] + 2
-        while any(c % p == 0 for p in _primes if p * p <= c):
-            c += 2
-        _primes.append(c)
-    return _primes[position - 1]
-
-
-def _prime_position(p: int) -> int:
-    pos = 1
-    while prime(pos) != p:
-        pos += 1
-        if prime(pos) > p:
-            raise ValueError("%d is not prime" % p)
-    return pos
+    return _prime_at(position)
 
 
 MultiIndex = tuple  # of (position, exponent) pairs, positions increasing
@@ -110,40 +94,35 @@ class NormEstimate:
     upper: float | None = None
 
 
-def lift(D: DirichletSeries) -> PrimePolynomial:
-    """Bohr lift: relabel each index by its prime-exponent multi-index."""
-    return PrimePolynomial({index_to_multiindex(n): c for n, c in D.terms.items()})
+def lift(D):
+    """Bohr lift: relabel each index by its prime-exponent multi-index.  A
+    double series lifts index by index to a DoublePrimePolynomial."""
+    terms = {_key(tuple(map(index_to_multiindex, _parts(k)))): c for k, c in D.terms.items()}
+    if isinstance(D, DirichletSeries):
+        return PrimePolynomial(terms)
+    return DoublePrimePolynomial(terms)
 
 
-def unlift(P: PrimePolynomial, truncation: int | None = None) -> DirichletSeries:
-    """Inverse Bohr lift; an index above the truncation raises ValueError."""
-    terms = {multiindex_to_index(alpha): c for alpha, c in P.terms.items()}
+def unlift(P, truncation=None):
+    """Inverse Bohr lift; an index above the truncation raises ValueError.
+    A DoublePrimePolynomial unlifts to a double series, its truncation a
+    pair; by default each truncation is the largest index on its axis."""
+    double = isinstance(P, DoublePrimePolynomial)
+    terms = [(tuple(map(multiindex_to_index, key if double else (key,))), c)
+             for key, c in P.terms.items()]
     if truncation is None:
-        truncation = max(terms, default=1)
-    return make_series(terms.items(), truncation)
+        truncation = tuple(max((idx[j] for idx, _ in terms), default=1) for j in range(1 + double))
+    return _make([(_key(idx), c) for idx, c in terms], _parts(truncation))
 
 
-def lift_double(D: DoubleDirichletSeries) -> DoublePrimePolynomial:
-    return DoublePrimePolynomial(
-        {
-            (index_to_multiindex(m), index_to_multiindex(n)): c
-            for (m, n), c in D.terms.items()
-        }
-    )
+def lift_double(D):
+    """lift of a double series."""
+    return lift(D)
 
 
-def unlift_double(P: DoublePrimePolynomial, truncations=None) -> DoubleDirichletSeries:
-    """Inverse Bohr lift of a double polynomial; an index pair outside the
-    truncations raises ValueError."""
-    terms = {
-        (multiindex_to_index(a), multiindex_to_index(b)): c for (a, b), c in P.terms.items()
-    }
-    if truncations is None:
-        truncations = (
-            max((m for m, _ in terms), default=1),
-            max((n for _, n in terms), default=1),
-        )
-    return make_double_series(terms.items(), truncations)
+def unlift_double(P, truncations=None):
+    """unlift of a double polynomial."""
+    return unlift(P, truncations)
 
 
 def eval_point(P: PrimePolynomial, z) -> complex:

@@ -19,17 +19,17 @@ from .analyze import (
     series_evaluator,
     sup_monotonicity_check,
 )
-from .bohr import hinf_norm_estimate, hp_norm_estimate, lift, unlift
+from .bohr import DoublePrimePolynomial, hinf_norm_estimate, hp_norm_estimate, lift, unlift
 from .compose import (
     DoubleSymbol,
     Symbol,
     SymbolRecoveryError,
     apply,
-    apply_double,
+    compactness_check,
     recover_symbol,
     validate_symbol,
 )
-from .double import DoubleDirichletSeries, mul2
+from .double import DoubleDirichletSeries, embed_single, evaluate2, mul2
 from .formats import (
     FormatError,
     check_line,
@@ -43,9 +43,8 @@ from .formats import (
 )
 from .grids import halfplane_grid, halfplane_grid2, boundary_grid2
 from .parser import ParseError, parse_expression
-from .series import DirichletSeries, evaluate, make_series, mul
+from .series import DirichletSeries, evaluate, mul
 from .superpose import young_bound_verify
-from .compose import compactness_check
 
 
 class UsageError(ValueError):
@@ -79,6 +78,14 @@ def _read_series(path: str | None, trunc: int):
     return _load_series(_read(path), trunc)
 
 
+def _read_single(path: str | None, args):
+    """A single series, for the commands that take no double one."""
+    D = _read_series(path, args.trunc)
+    if not isinstance(D, DirichletSeries):
+        raise UsageError("%s works on single series" % args.command)
+    return D
+
+
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace("i", "j").replace(" ", ""))
@@ -90,8 +97,6 @@ def _cmd_eval(args) -> int:
     D = _read_series(args.infile, args.trunc)
     s = _parse_complex(args.s)
     if isinstance(D, DoubleDirichletSeries):
-        from .double import evaluate2
-
         if args.t is None:
             raise UsageError("double series needs --t")
         v = evaluate2(D, s, _parse_complex(args.t))
@@ -104,80 +109,46 @@ def _cmd_eval(args) -> int:
 def _cmd_mul(args) -> int:
     A = _read_series(args.a, args.trunc)
     B = _read_series(args.b, args.trunc)
-    if isinstance(A, DoubleDirichletSeries) != isinstance(B, DoubleDirichletSeries):
-        from .double import embed_single
-
-        if isinstance(A, DirichletSeries):
-            A = embed_single(A)
-        else:
-            B = embed_single(B)
-    if isinstance(A, DoubleDirichletSeries):
-        out = mul2(A, B, (args.trunc, args.trunc))
-    else:
+    if isinstance(A, DirichletSeries) and isinstance(B, DirichletSeries):
         out = mul(A, B, args.trunc)
+    else:  # a single factor joins a double one on the first axis
+        A, B = (X if isinstance(X, DoubleDirichletSeries) else embed_single(X) for X in (A, B))
+        out = mul2(A, B, (args.trunc, args.trunc))
     _write(args.out, dumps_series(out))
     return 0
 
 
 def _cmd_compose(args) -> int:
     sym = loads_symbol(_read(args.symbol))
-    if not isinstance(sym, Symbol):
-        raise UsageError("compose needs a single-variable symbol")
     D = _read_series(args.infile, args.trunc)
-    if not isinstance(D, DirichletSeries):
-        raise UsageError("compose needs a single-variable series")
-    _write(args.out, dumps_series(apply(sym, D, args.trunc)))
-    return 0
-
-
-def _cmd_compose2(args) -> int:
-    sym = loads_symbol(_read(args.symbol))
-    if not isinstance(sym, DoubleSymbol):
-        raise UsageError("compose2 needs a two-variable symbol")
-    D = _read_series(args.infile, args.trunc)
-    if not isinstance(D, DoubleDirichletSeries):
-        raise UsageError("compose2 needs a double series")
-    _write(args.out, dumps_series(apply_double(sym, D, (args.trunc, args.trunc))))
+    double = isinstance(sym, DoubleSymbol)
+    if double != isinstance(D, DoubleDirichletSeries):
+        raise UsageError("the symbol and the series differ in the number of variables")
+    trunc = (args.trunc, args.trunc) if double else args.trunc
+    _write(args.out, dumps_series(apply(sym, D, trunc)))
     return 0
 
 
 def _cmd_lift(args) -> int:
-    D = _read_series(args.infile, args.trunc)
-    if isinstance(D, DoubleDirichletSeries):
-        from .bohr import lift_double
-
-        _write(args.out, dumps_polynomial(lift_double(D)))
-    else:
-        _write(args.out, dumps_polynomial(lift(D)))
+    _write(args.out, dumps_polynomial(lift(_read_series(args.infile, args.trunc))))
     return 0
 
 
 def _cmd_unlift(args) -> int:
     P = loads_polynomial(_read(args.infile))
-    from .bohr import DoublePrimePolynomial, unlift_double
-
-    if isinstance(P, DoublePrimePolynomial):
-        out = unlift_double(P, (args.trunc, args.trunc))
-    else:
-        out = unlift(P, args.trunc)
-    _write(args.out, dumps_series(out))
+    trunc = (args.trunc, args.trunc) if isinstance(P, DoublePrimePolynomial) else args.trunc
+    _write(args.out, dumps_series(unlift(P, trunc)))
     return 0
 
 
 def _cmd_recover_symbol(args) -> int:
-    D2 = _read_series(args.two, args.trunc)
-    D3 = _read_series(args.three, args.trunc)
-    if not (isinstance(D2, DirichletSeries) and isinstance(D3, DirichletSeries)):
-        raise UsageError("recover-symbol needs two single series")
-    sym = recover_symbol(D2, D3, args.trunc)
+    sym = recover_symbol(_read_single(args.two, args), _read_single(args.three, args), args.trunc)
     _write(args.out, dumps_symbol(sym))
     return 0
 
 
 def _cmd_norm(args) -> int:
-    D = _read_series(args.infile, args.trunc)
-    if not isinstance(D, DirichletSeries):
-        raise UsageError("norm estimation works on single series")
+    D = _read_single(args.infile, args)
     if args.p == "inf":
         est = hinf_norm_estimate(D, args.samples, args.seed)
     else:
@@ -187,9 +158,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    D = _read_series(args.infile, args.trunc)
-    if not isinstance(D, DirichletSeries):
-        raise UsageError("coeff extraction works on single series")
+    D = _read_single(args.infile, args)
     ev = series_evaluator(D)
     got = coefficient_extract(
         ev, args.j, args.sigma, args.T, panels=args.panels, support=D.terms
@@ -204,11 +173,8 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_check_symbol(args) -> int:
     sym = loads_symbol(_read(args.symbol))
-    if isinstance(sym, Symbol):
-        probes = halfplane_grid(args.epsilon)
-    else:
-        probes = halfplane_grid2(args.epsilon)
-    rep = validate_symbol(sym, probes)
+    grid = halfplane_grid if isinstance(sym, Symbol) else halfplane_grid2
+    rep = validate_symbol(sym, grid(args.epsilon))
     lines = []
     for name, mn in sorted(rep.min_re.items()):
         failed = any(f.startswith(name) for f in rep.failures)
@@ -230,18 +196,14 @@ def _cmd_check_compact(args) -> int:
 
 
 def _cmd_check_young(args) -> int:
-    D = _read_series(args.infile, args.trunc)
-    if not isinstance(D, DirichletSeries):
-        raise UsageError("check-young works on single series")
+    D = _read_single(args.infile, args)
     rep = young_bound_verify(D, args.k, args.p, args.q, args.samples, args.seed)
     _write(args.out, check_line("young-slack", rep.holds, rep.slack, 0.0) + "\n")
     return 0 if rep.holds else 1
 
 
 def _cmd_check_suplines(args) -> int:
-    D = _read_series(args.infile, args.trunc)
-    if not isinstance(D, DirichletSeries):
-        raise UsageError("check-suplines works on single series")
+    D = _read_single(args.infile, args)
     rep = sup_monotonicity_check(D, args.sigma, args.eta)
     margin = rep.lower_sup.value - rep.upper_sup.value
     lines = [
@@ -273,10 +235,6 @@ def _add_io(p, with_in=True):
         p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--trunc", type=int, default=64, help="series truncation (default 64)")
-    p.add_argument(
-        "--format", choices=("text", "report"), default="text",
-        help="output flavor; check commands always emit report lines",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,15 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", help="second series file")
     p.set_defaults(fn=_cmd_mul)
 
-    p = sub.add_parser("compose", help="apply a one-variable symbol")
-    _add_io(p)
-    p.add_argument("--symbol", required=True, help="symbol file")
-    p.set_defaults(fn=_cmd_compose)
-
-    p = sub.add_parser("compose2", help="apply a two-variable symbol")
-    _add_io(p)
-    p.add_argument("--symbol", required=True, help="symbol file")
-    p.set_defaults(fn=_cmd_compose2)
+    for name in ("compose", "compose2"):
+        p = sub.add_parser(name, help="apply a one- or two-variable symbol")
+        _add_io(p)
+        p.add_argument("--symbol", required=True, help="symbol file")
+        p.set_defaults(fn=_cmd_compose)
 
     p = sub.add_parser("lift", help="Bohr lift to a prime polynomial")
     _add_io(p)

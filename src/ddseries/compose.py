@@ -20,7 +20,6 @@ from .bohr import (
     PrimePolynomial,
     prime,
     unlift,
-    unlift_double,
 )
 from .double import (
     DoubleDirichletSeries,
@@ -81,10 +80,8 @@ class DoubleSymbol:
         raise ValueError("component index must be 1 or 2")
 
     def __call__(self, s: complex, t: complex) -> tuple[complex, complex]:
-        return (
-            self.c1 * s + self.d1 * t + evaluate2(self.phi1, s, t),
-            self.c2 * s + self.d2 * t + evaluate2(self.phi2, s, t),
-        )
+        return tuple(c * s + d * t + evaluate2(phi, s, t)
+                     for c, d, phi in map(self.component, (1, 2)))
 
 
 @dataclass
@@ -159,19 +156,6 @@ def char_power(k: int, sym: Symbol, truncation: int) -> DirichletSeries:
     inner = exp_series(scale(sym.phi, -math.log(k)), truncation // shift)
     return DirichletSeries(
         {n * shift: c for n, c in inner.terms.items()}, truncation
-    )
-
-
-def _char_power_component(k: int, c: int, d: int, phi: DoubleDirichletSeries,
-                          truncations) -> DoubleDirichletSeries:
-    """Double series of k^{-(c s + d t + phi(s,t))}."""
-    M, N = truncations
-    sm, sn = k**c, k**d
-    if sm > M or sn > N:
-        return zero_double(truncations)
-    inner = exp2(scale_double(phi, -math.log(k)), (M // sm, N // sn))
-    return DoubleDirichletSeries(
-        {(m * sm, n * sn): v for (m, n), v in inner.terms.items()}, (M, N)
     )
 
 
@@ -275,31 +259,27 @@ def char_power_via_factorizations(k: int, phi: DoubleDirichletSeries,
                 total += term
             if total != 0:
                 out[(MM, NN)] = global_factor * total
-    return DoubleDirichletSeries(
-        {kk: v for kk, v in out.items() if abs(v) >= 1e-300}, (M, N)
-    )
+    return DoubleDirichletSeries(_pruned(out), (M, N))
 
 
-def apply(sym: Symbol, D: DirichletSeries, truncation: int) -> DirichletSeries:
-    """The composition operator: the series of D(sym(s))."""
-    out: dict[int, complex] = {}
+def apply(sym, D, truncation):
+    """The composition operator: the series of D(sym(s)), or of D(sym(s, t))
+    for a DoubleSymbol and a double series, the truncation then being a
+    pair.  Colliding output indices accumulate."""
+    double = isinstance(sym, DoubleSymbol)
+    if double:
+        truncation = tuple(truncation)
+    out: dict = {}
     for k, a in sorted(D.terms.items()):
-        piece = char_power(k, sym, truncation)
+        piece = char_power_double(*k, sym, truncation) if double else char_power(k, sym, truncation)
         for n, c in piece.terms.items():
             out[n] = out.get(n, 0j) + a * c
-    return DirichletSeries({n: c for n, c in out.items() if abs(c) >= 1e-300}, truncation)
+    return type(D)(_pruned(out), truncation)
 
 
 def apply_double(sym: DoubleSymbol, D: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
-    """Two-variable composition; colliding output indices accumulate."""
-    out: dict[tuple[int, int], complex] = {}
-    for (k, l), a in sorted(D.terms.items()):
-        piece = char_power_double(k, l, sym, truncations)
-        for kk, c in piece.terms.items():
-            out[kk] = out.get(kk, 0j) + a * c
-    return DoubleDirichletSeries(
-        {kk: c for kk, c in out.items() if abs(c) >= 1e-300}, tuple(truncations)
-    )
+    """apply of a two-variable symbol."""
+    return apply(sym, D, truncations)
 
 
 class SymbolRecoveryError(ValueError):
@@ -365,21 +345,22 @@ class RangeReport:
     probes: int
 
 
+def _component_mins(sym: DoubleSymbol, grid) -> tuple[float, float]:
+    """Sampled min over the grid of Re of each full component of sym,
+    slopes included."""
+    return tuple(
+        min(c * s.real + d * t.real + evaluate2(phi, s, t).real for (s, t) in grid)
+        for c, d, phi in map(sym.component, (1, 2))
+    )
+
+
 def range_check(sym: DoubleSymbol, epsilon: float, grid) -> RangeReport:
     """Sampled min over C_epsilon^2 of Re phi_j(s,t) (full component,
     slopes included), estimating the delta of the range lemma."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     grid = list(grid)
-    mins = []
-    for j in (1, 2):
-        c, d, phi = sym.component(j)
-        mins.append(
-            min(
-                c * s.real + d * t.real + evaluate2(phi, s, t).real for (s, t) in grid
-            )
-        )
-    return RangeReport(epsilon, (mins[0], mins[1]), len(list(grid)))
+    return RangeReport(epsilon, _component_mins(sym, grid), len(grid))
 
 
 @dataclass
@@ -417,15 +398,8 @@ def compactness_check(sym: DoubleSymbol, grid) -> CompactnessReport:
     """Sampled inf of Re phi_j over a grid approaching the boundary of
     C_+^2.  A positive inf (above threshold) yields a compact verdict with
     delta; an inf collapsing to 0 yields non-compact."""
-    grid = list(grid)
-    infs = []
-    for j in (1, 2):
-        c, d, phi = sym.component(j)
-        infs.append(
-            min(c * s.real + d * t.real + evaluate2(phi, s, t).real for (s, t) in grid)
-        )
-    delta = min(infs)
-    return CompactnessReport(delta > _COMPACT_THRESHOLD, delta, (infs[0], infs[1]))
+    infs = _component_mins(sym, list(grid))
+    return CompactnessReport(min(infs) > _COMPACT_THRESHOLD, min(infs), infs)
 
 
 def bohr_commutation_check(sym, f, probes, truncation: int = 512) -> float:
@@ -435,56 +409,38 @@ def bohr_commutation_check(sym, f, probes, truncation: int = 512) -> float:
     Single variable: f is a PrimePolynomial, probes are points s; the
     operator route lifts apply(sym, unlift(f)) while the Bohr route
     substitutes z_j -> series of p_j^{-sym}.  Double variable analogously
-    with pairs (s, t).
+    with pairs (s, t), and z_j -> p_j^{-sym_1}, w_j -> p_j^{-sym_2}.
     """
-    if isinstance(sym, Symbol):
-        if not isinstance(f, PrimePolynomial):
-            raise TypeError("single symbol needs a PrimePolynomial")
-        D = unlift(f, truncation)
-        G = apply(sym, D, truncation)
-        positions = sorted({pos for alpha in f.terms for pos, _ in alpha})
-        psi = {pos: char_power(prime(pos), sym, truncation) for pos in positions}
-        residual = 0.0
-        for s in probes:
-            lhs = evaluate(G, s)
-            vals = {pos: evaluate(ser, s) for pos, ser in psi.items()}
-            rhs = 0j
-            for alpha, c in f.terms.items():
-                term = c
+    double = isinstance(sym, DoubleSymbol)
+    if not (double or isinstance(sym, Symbol)):
+        raise TypeError("expected Symbol or DoubleSymbol")
+    if not isinstance(f, DoublePrimePolynomial if double else PrimePolynomial):
+        raise TypeError("the symbol and the polynomial differ in the number of variables")
+    truncs = (truncation, truncation) if double else truncation
+
+    def power(i, p):  # the series of p^{-sym_i}, i = 0, 1
+        if not double:
+            return char_power(p, sym, truncs)
+        return char_power_double(*((p, 1) if i == 0 else (1, p)), sym, truncs)
+
+    def value(D, pt):
+        return evaluate2(D, *pt) if double else evaluate(D, pt)
+
+    G = apply(sym, unlift(f, truncs), truncs)
+    # one multi-index per axis; position j of axis i is substituted by psi[i, j]
+    terms = [(key if double else (key,), c) for key, c in f.terms.items()]
+    used = {(i, pos) for alphas, _ in terms for i, alpha in enumerate(alphas) for pos, _ in alpha}
+    psi = {(i, pos): power(i, prime(pos)) for i, pos in sorted(used)}
+    residual = 0.0
+    for pt in probes:
+        lhs = value(G, pt)
+        vals = {k: value(ser, pt) for k, ser in psi.items()}
+        rhs = 0j
+        for alphas, c in terms:
+            term = c
+            for i, alpha in enumerate(alphas):
                 for pos, e in alpha:
-                    term *= vals[pos] ** e
-                rhs += term
-            residual = max(residual, abs(lhs - rhs))
-        return residual
-    if isinstance(sym, DoubleSymbol):
-        if not isinstance(f, DoublePrimePolynomial):
-            raise TypeError("double symbol needs a DoublePrimePolynomial")
-        truncs = (truncation, truncation)
-        D = unlift_double(f, truncs)
-        G = apply_double(sym, D, truncs)
-        pos1 = sorted({pos for (a, _) in f.terms for pos, _ in a})
-        pos2 = sorted({pos for (_, b) in f.terms for pos, _ in b})
-        psi1 = {
-            pos: _char_power_component(prime(pos), sym.c1, sym.d1, sym.phi1, truncs)
-            for pos in pos1
-        }
-        psi2 = {
-            pos: _char_power_component(prime(pos), sym.c2, sym.d2, sym.phi2, truncs)
-            for pos in pos2
-        }
-        residual = 0.0
-        for (s, t) in probes:
-            lhs = evaluate2(G, s, t)
-            v1 = {pos: evaluate2(ser, s, t) for pos, ser in psi1.items()}
-            v2 = {pos: evaluate2(ser, s, t) for pos, ser in psi2.items()}
-            rhs = 0j
-            for (alpha, beta), c in f.terms.items():
-                term = c
-                for pos, e in alpha:
-                    term *= v1[pos] ** e
-                for pos, e in beta:
-                    term *= v2[pos] ** e
-                rhs += term
-            residual = max(residual, abs(lhs - rhs))
-        return residual
-    raise TypeError("expected Symbol or DoubleSymbol")
+                    term *= vals[i, pos] ** e
+            rhs += term
+        residual = max(residual, abs(lhs - rhs))
+    return residual

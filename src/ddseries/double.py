@@ -11,11 +11,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .series import DirichletSeries, _check_finite, _check_index, _pruned, evaluate
+from .series import DirichletSeries, _pruned, _Series, _validated, evaluate, make_series, scale
 
 
 @dataclass(frozen=True)
-class DoubleDirichletSeries:
+class DoubleDirichletSeries(_Series):
     """Finite double Dirichlet series with support in [1,M] x [1,N]."""
 
     terms: dict[tuple[int, int], complex]
@@ -26,42 +26,27 @@ class DoubleDirichletSeries:
         if M < 1 or N < 1:
             raise ValueError("truncations must be positive integers")
 
-    def coefficient(self, m: int, n: int) -> complex:
-        return self.terms.get((m, n), 0j)
-
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def l1_norm(self) -> float:
-        return sum(abs(c) for c in self.terms.values())
-
 
 def make_double_series(terms, truncations) -> DoubleDirichletSeries:
-    M, N = truncations
-    if M < 1 or N < 1:
-        raise ValueError("truncations must be positive integers")
-    out: dict[tuple[int, int], complex] = {}
-    for (m, n), c in terms:
-        m, n = _check_index(m), _check_index(n)
-        if m < 1 or n < 1:
-            raise ValueError("index pair (%r, %r) out of range" % (m, n))
-        if m > M or n > N:
-            raise ValueError("index pair (%d, %d) exceeds truncations (%d, %d)" % (m, n, M, N))
-        if (m, n) in out:
-            raise ValueError("duplicate index pair (%d, %d)" % (m, n))
-        out[(m, n)] = _check_finite(c)
-    return DoubleDirichletSeries(_pruned(out), (M, N))
+    """Build a double series from ((m, n), coefficient) pairs (see
+    series._validated)."""
+    truncations = tuple(truncations)
+    return DoubleDirichletSeries(_validated(terms, truncations), truncations)
 
 
 def zero_double(truncations=(1, 1)) -> DoubleDirichletSeries:
-    return DoubleDirichletSeries({}, tuple(truncations))
+    return make_double_series((), truncations)
 
 
 def constant_double(c: complex, truncations=(1, 1)) -> DoubleDirichletSeries:
-    return DoubleDirichletSeries(_pruned({(1, 1): _check_finite(c)}), tuple(truncations))
+    return make_double_series([((1, 1), c)], truncations)
+
+
+def _make(terms, truncations):
+    """make_series for one truncation, make_double_series for a pair."""
+    if len(truncations) == 1:
+        return make_series(terms, truncations[0])
+    return make_double_series(terms, truncations)
 
 
 def add2(A: DoubleDirichletSeries, B: DoubleDirichletSeries) -> DoubleDirichletSeries:
@@ -75,8 +60,8 @@ def add2(A: DoubleDirichletSeries, B: DoubleDirichletSeries) -> DoubleDirichletS
 
 
 def scale2(A: DoubleDirichletSeries, c: complex) -> DoubleDirichletSeries:
-    c = _check_finite(c)
-    return DoubleDirichletSeries(_pruned({k: v * c for k, v in A.terms.items()}), A.truncations)
+    """scale of a double series."""
+    return scale(A, c)
 
 
 def _rows(terms: dict) -> list:

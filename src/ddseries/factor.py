@@ -2,31 +2,58 @@
 coefficient formulas of the monomial-power expansion.
 
 Everything here is exact integer arithmetic.  The smallest-prime-factor
-sieve is built once per size and cached; all enumeration functions impose
-a canonical ordering on the parts so that results are duplicate-free and
-deterministic.
+sieve grows on demand, at least doubling each time, and the list of primes
+read off it is the table behind the prime positions of the Bohr lift; all
+enumeration functions impose a canonical ordering on the parts so that
+results are duplicate-free and deterministic.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import product
 
+# factorize sieves up to this bound and trial-divides beyond it
 _SIEVE_BOUND = 10**6
+# smallest prime factor of every i < len(_spf), and the primes below
+# len(_spf) in increasing order: the package's one prime table
 _spf: list[int] = []
+_primes: list[int] = []
 
 
 def _ensure_sieve(bound: int) -> None:
-    global _spf
-    if len(_spf) > bound:
+    """Grow the sieve to the power of two above bound + 1, so that it at
+    least doubles whenever it grows."""
+    global _spf, _primes
+    if bound < len(_spf):
         return
-    bound = max(bound, _SIEVE_BOUND)
-    spf = list(range(bound + 1))
-    for p in range(2, int(bound**0.5) + 1):
+    size = 1 << (bound + 1).bit_length()
+    spf = list(range(size))
+    for p in range(2, math.isqrt(size - 1) + 1):
         if spf[p] == p:  # p is prime
-            for q in range(p * p, bound + 1, p):
+            for q in range(p * p, size, p):
                 if spf[q] == q:
                     spf[q] = p
     _spf = spf
+    _primes = [p for p in range(2, size) if spf[p] == p]
+
+
+def _prime_at(position: int) -> int:
+    """The prime at the given 1-based position."""
+    while len(_primes) < position:
+        _ensure_sieve(len(_spf))
+    return _primes[position - 1]
+
+
+def _prime_position(p: int) -> int:
+    """The 1-based position of the prime p; grows the sieve to p, past _SIEVE_BOUND too."""
+    _ensure_sieve(p)
+    i = bisect_left(_primes, p)
+    if i == len(_primes) or _primes[i] != p:
+        raise ValueError("%d is not prime" % p)
+    return i + 1
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -36,8 +63,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1, got %r" % (n,))
-    if n <= _SIEVE_BOUND or n < len(_spf):
-        _ensure_sieve(min(n, _SIEVE_BOUND))
+    if n <= _SIEVE_BOUND:
+        _ensure_sieve(n)
     out = []
     m = n
     while m > 1:
@@ -84,27 +111,7 @@ def multiplicative_factorizations(M: int) -> list[list[tuple[int, int]]]:
     """
     if M < 2:
         raise ValueError("multiplicative_factorizations requires M >= 2")
-    return _mult_facts(M, 2)
-
-
-def _mult_facts(M: int, min_base: int) -> list[list[tuple[int, int]]]:
-    results = []
-    for m in divisors(M):
-        if m < min_base:
-            continue
-        rest, r = M // m, 1
-        while True:
-            if rest == 1:
-                results.append([(m, r)])
-            else:
-                for tail in _mult_facts(rest, m + 1):
-                    results.append([(m, r)] + tail)
-            if rest % m == 0:
-                rest //= m
-                r += 1
-            else:
-                break
-    return results
+    return [[(m, r) for (m,), r in f] for f in _factorizations((M,), (1,))]
 
 
 @lru_cache(maxsize=65536)
@@ -119,26 +126,28 @@ def pair_factorizations(M: int, N: int) -> tuple[tuple[tuple[tuple[int, int], in
     """
     if (M, N) == (1, 1):
         raise ValueError("pair_factorizations requires (M, N) != (1, 1)")
-    return tuple(tuple(f) for f in _pair_facts(M, N, (1, 1)))
+    return tuple(tuple(f) for f in _factorizations((M, N), (1, 1)))
 
 
-def _pair_facts(M, N, min_pair):
+def _factorizations(index: tuple, least: tuple) -> list:
+    """Factorizations of an index tuple into powers of distinct base tuples,
+    each above `least` lexicographically and none all ones, bases
+    increasing."""
+    one = (1,) * len(index)
     results = []
-    for m in divisors(M):
-        for n in divisors(N):
-            if (m, n) <= min_pair or (m, n) == (1, 1):
-                continue
-            restM, restN, r = M // m, N // n, 1
-            while True:
-                if restM == 1 and restN == 1:
-                    results.append([((m, n), r)])
-                else:
-                    for tail in _pair_facts(restM, restN, (m, n)):
-                        results.append([((m, n), r)] + tail)
-                if restM % m == 0 and restN % n == 0:
-                    restM //= m
-                    restN //= n
-                    r += 1
-                else:
-                    break
+    for base in product(*map(divisors, index)):
+        if base <= least or base == one:
+            continue
+        rest, r = tuple(i // b for i, b in zip(index, base)), 1
+        while True:
+            if rest == one:
+                results.append([(base, r)])
+            else:
+                for tail in _factorizations(rest, base):
+                    results.append([(base, r)] + tail)
+            if all(i % b == 0 for i, b in zip(rest, base)):
+                rest = tuple(i // b for i, b in zip(rest, base))
+                r += 1
+            else:
+                break
     return results

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .bohr import DoublePrimePolynomial, PrimePolynomial
 from .compose import DoubleSymbol, Symbol
-from .double import DoubleDirichletSeries, make_double_series
-from .series import DirichletSeries, make_series
+from .double import DoubleDirichletSeries, _make
+from .series import DirichletSeries, _key, _parts
 
 
 class FormatError(ValueError):
@@ -36,19 +36,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# the kind word of a series or polynomial block, by arity
+_KINDS = ("single", "double")
+
+
+def _ints(values) -> str:
+    return " ".join("%d" % v for v in values)
+
+
 def dumps_series(D) -> str:
-    if isinstance(D, DirichletSeries):
-        lines = ["dirichlet v1 single %d" % D.truncation]
-        for n in sorted(D.terms):
-            c = D.terms[n]
-            lines.append("%d %s %s" % (n, _fmt(c.real), _fmt(c.imag)))
-    elif isinstance(D, DoubleDirichletSeries):
-        lines = ["dirichlet v1 double %d %d" % D.truncations]
-        for m, n in sorted(D.terms):
-            c = D.terms[(m, n)]
-            lines.append("%d %d %s %s" % (m, n, _fmt(c.real), _fmt(c.imag)))
-    else:
+    if not isinstance(D, (DirichletSeries, DoubleDirichletSeries)):
         raise TypeError("expected a series")
+    lines = ["dirichlet v1 %s %s" % (_KINDS[len(D.truncations) - 1], _ints(D.truncations))]
+    for key in sorted(D.terms):
+        c = D.terms[key]
+        lines.append("%s %s %s" % (_ints(_parts(key)), _fmt(c.real), _fmt(c.imag)))
     return "\n".join(lines) + "\n"
 
 
@@ -62,45 +64,33 @@ def loads_series(text: str):
     return series
 
 
+def _arity(kind: str, what: str) -> int:
+    if kind not in _KINDS:
+        raise FormatError("unknown %s kind: %r" % (what, kind))
+    return _KINDS.index(kind) + 1
+
+
 def _parse_series_block(lines: list[str]):
     if not lines:
         raise FormatError("expected a series block, found end of input")
     head = lines[0].split()
     if len(head) < 3 or head[0] != "dirichlet" or head[1] != "v1":
         raise FormatError("bad series header: %r" % lines[0])
-    if head[2] == "single":
-        if len(head) != 4:
-            raise FormatError("single header needs one truncation")
-        trunc = int(head[3])
-        terms = []
-        i = 1
-        while i < len(lines):
-            parts = lines[i].split()
-            if parts[0] in ("dirichlet", "symbol", "bohr"):
-                break
-            if len(parts) != 3:
-                raise FormatError("bad single term line: %r" % lines[i])
-            terms.append((int(parts[0]), complex(float(parts[1]), float(parts[2]))))
-            i += 1
-        return make_series(terms, trunc), lines[i:]
-    if head[2] == "double":
-        if len(head) != 5:
-            raise FormatError("double header needs two truncations")
-        truncs = (int(head[3]), int(head[4]))
-        terms = []
-        i = 1
-        while i < len(lines):
-            parts = lines[i].split()
-            if parts[0] in ("dirichlet", "symbol", "bohr"):
-                break
-            if len(parts) != 4:
-                raise FormatError("bad double term line: %r" % lines[i])
-            terms.append(
-                ((int(parts[0]), int(parts[1])), complex(float(parts[2]), float(parts[3])))
-            )
-            i += 1
-        return make_double_series(terms, truncs), lines[i:]
-    raise FormatError("unknown series kind: %r" % head[2])
+    arity = _arity(head[2], "series")
+    if len(head) != 3 + arity:
+        raise FormatError("%s header needs %d truncation(s)" % (head[2], arity))
+    terms = []
+    i = 1
+    while i < len(lines):
+        parts = lines[i].split()
+        if parts[0] in ("dirichlet", "symbol", "bohr"):
+            break
+        if len(parts) != arity + 2:
+            raise FormatError("bad %s term line: %r" % (head[2], lines[i]))
+        index = _key(tuple(int(p) for p in parts[:arity]))
+        terms.append((index, complex(float(parts[-2]), float(parts[-1]))))
+        i += 1
+    return _make(terms, tuple(int(t) for t in head[3:])), lines[i:]
 
 
 def dumps_symbol(sym) -> str:
@@ -122,26 +112,19 @@ def loads_symbol(text: str):
     head = lines[0].split()
     if len(head) < 3 or head[0] != "symbol" or head[1] != "v1":
         raise FormatError("bad symbol header: %r" % lines[0])
-    if head[2] == "single":
-        if len(head) != 4:
-            raise FormatError("single symbol header needs c0")
-        phi, rest = _parse_series_block(lines[1:])
-        if rest:
-            raise FormatError("trailing content after symbol")
-        if not isinstance(phi, DirichletSeries):
-            raise FormatError("single symbol needs a single series part")
-        return Symbol(int(head[3]), phi)
-    if head[2] == "double":
-        if len(head) != 7:
-            raise FormatError("double symbol header needs four slopes")
-        phi1, rest = _parse_series_block(lines[1:])
-        phi2, rest = _parse_series_block(rest)
-        if rest:
-            raise FormatError("trailing content after symbol")
-        if not (isinstance(phi1, DoubleDirichletSeries) and isinstance(phi2, DoubleDirichletSeries)):
-            raise FormatError("double symbol needs two double series parts")
-        return DoubleSymbol(int(head[3]), int(head[4]), int(head[5]), int(head[6]), phi1, phi2)
-    raise FormatError("unknown symbol kind: %r" % head[2])
+    arity = _arity(head[2], "symbol")
+    slopes = (1, 4)[arity - 1]  # c0, or c1 d1 c2 d2
+    if len(head) != 3 + slopes:
+        raise FormatError("%s symbol header needs %d slope(s)" % (head[2], slopes))
+    phis, rest = [], lines[1:]
+    for _ in range(arity):
+        phi, rest = _parse_series_block(rest)
+        if len(phi.truncations) != arity:
+            raise FormatError("%s symbol needs %s series parts" % (head[2], head[2]))
+        phis.append(phi)
+    if rest:
+        raise FormatError("trailing content after symbol")
+    return (Symbol, DoubleSymbol)[arity - 1](*map(int, head[3:]), *phis)
 
 
 def _fmt_alpha(alpha) -> str:
@@ -161,20 +144,14 @@ def _parse_alpha(text: str):
 
 
 def dumps_polynomial(P) -> str:
-    if isinstance(P, PrimePolynomial):
-        lines = ["bohr v1 single"]
-        for alpha in sorted(P.terms):
-            c = P.terms[alpha]
-            lines.append("%s %s %s" % (_fmt_alpha(alpha), _fmt(c.real), _fmt(c.imag)))
-    elif isinstance(P, DoublePrimePolynomial):
-        lines = ["bohr v1 double"]
-        for alpha, beta in sorted(P.terms):
-            c = P.terms[(alpha, beta)]
-            lines.append(
-                "%s %s %s %s" % (_fmt_alpha(alpha), _fmt_alpha(beta), _fmt(c.real), _fmt(c.imag))
-            )
-    else:
+    if not isinstance(P, (PrimePolynomial, DoublePrimePolynomial)):
         raise TypeError("expected a prime polynomial")
+    double = isinstance(P, DoublePrimePolynomial)
+    lines = ["bohr v1 " + _KINDS[double]]
+    for key in sorted(P.terms):
+        c = P.terms[key]
+        alphas = " ".join(map(_fmt_alpha, key if double else (key,)))
+        lines.append("%s %s %s" % (alphas, _fmt(c.real), _fmt(c.imag)))
     return "\n".join(lines) + "\n"
 
 
@@ -185,25 +162,15 @@ def loads_polynomial(text: str):
     head = lines[0].split()
     if head[:2] != ["bohr", "v1"] or len(head) != 3:
         raise FormatError("bad polynomial header: %r" % lines[0])
-    if head[2] == "single":
-        terms = {}
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError("bad polynomial line: %r" % line)
-            terms[_parse_alpha(parts[0])] = complex(float(parts[1]), float(parts[2]))
-        return PrimePolynomial(terms)
-    if head[2] == "double":
-        terms = {}
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError("bad polynomial line: %r" % line)
-            terms[(_parse_alpha(parts[0]), _parse_alpha(parts[1]))] = complex(
-                float(parts[2]), float(parts[3])
-            )
-        return DoublePrimePolynomial(terms)
-    raise FormatError("unknown polynomial kind: %r" % head[2])
+    arity = _arity(head[2], "polynomial")
+    terms = {}
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != arity + 2:
+            raise FormatError("bad polynomial line: %r" % line)
+        key = _key(tuple(map(_parse_alpha, parts[:arity])))
+        terms[key] = complex(float(parts[-2]), float(parts[-1]))
+    return (PrimePolynomial, DoublePrimePolynomial)[arity - 1](terms)
 
 
 def check_line(name: str, passed: bool, value: float, tolerance: float) -> str:
@@ -212,14 +179,13 @@ def check_line(name: str, passed: bool, value: float, tolerance: float) -> str:
 
 
 def norm_estimate_line(est) -> str:
+    """The estimate as one JSON object; moment, moment_stderr and the H^infty
+    upper bound are included whenever they are set."""
     import json
 
-    return json.dumps(
-        {
-            "value": est.value,
-            "stderr": est.stderr,
-            "samples": est.samples,
-            "seed": est.seed,
-            "kind": est.kind,
-        }
-    )
+    rec = {"value": est.value, "stderr": est.stderr, "samples": est.samples,
+           "seed": est.seed, "kind": est.kind}
+    for name in ("moment", "moment_stderr", "upper"):
+        if getattr(est, name) is not None:
+            rec[name] = getattr(est, name)
+    return json.dumps(rec)

@@ -194,10 +194,14 @@ def parse_expression(text: str, truncation: int = 64):
 def print_expression(series) -> str:
     """Canonical expression text for a series; parse(print(x)) == x."""
     parts = []
-    if isinstance(series, DirichletSeries):
-        items = [((n, 1), c) for n, c in sorted(series.terms.items())]
-    else:
+    double = not isinstance(series, DirichletSeries)
+    if double:
         items = sorted(series.terms.items())
+    else:
+        items = [((n, 1), c) for n, c in sorted(series.terms.items())]
+    # a double series with no ^-t atom would parse back as a single series,
+    # so one term (or the zero) carries a 1^-t factor
+    mark_t = double and all(n == 1 for (_, n), _ in items)
     for (m, n), c in items:
         # fold the sign into the joining operator so coefficients stay in
         # the unsigned-literal grammar
@@ -207,15 +211,16 @@ def print_expression(series) -> str:
         atom = []
         if m > 1:
             atom.append("%d^-s" % m)
-        if n > 1:
+        if n > 1 or mark_t:
             atom.append("%d^-t" % n)
+            mark_t = False
         if c.imag == 0:
             coef = repr(c.real)
         else:
             coef = "(%r%s%ri)" % (c.real, "+" if c.imag >= 0 else "-", abs(c.imag))
         parts.append(("-" if negative else "+", "*".join([coef] + atom) if atom else coef))
     if not parts:
-        return "0.0"
+        return "0.0*1^-t" if mark_t else "0.0"
     head_op, head = parts[0]
     text = ("0.0 - %s" % head) if head_op == "-" else head
     for op, chunk in parts[1:]:

@@ -41,21 +41,50 @@ def _pruned(terms: dict) -> dict:
     return {k: v for k, v in terms.items() if abs(v) >= PRUNE_BELOW}
 
 
-@dataclass(frozen=True)
-class DirichletSeries:
-    """Finite Dirichlet series sum a_n n^{-s} with support in 1..truncation."""
+def _parts(key) -> tuple:
+    """An index (or a truncation, or a point) as a tuple: (n,) for the n of
+    a single series, a pair as it is."""
+    return tuple(key) if isinstance(key, (tuple, list)) else (key,)
 
-    terms: dict[int, complex]
-    truncation: int
 
-    def __post_init__(self):
-        if self.truncation < 1:
-            raise ValueError("truncation must be a positive integer")
+def _key(parts: tuple):
+    """The inverse of _parts: n for (n,), a pair as it is."""
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
-    def coefficient(self, n: int) -> complex:
-        return self.terms.get(n, 0j)
 
-    def support(self) -> list[int]:
+def _validated(terms, truncations: tuple) -> dict:
+    """The {index: coefficient} map of (index, coefficient) pairs, an index
+    being an int for one truncation and a pair for two.
+
+    Duplicate indices, non-integer or bool entries, entries outside
+    1..truncation and non-finite coefficients are rejected.
+    """
+    if min(truncations) < 1:
+        raise ValueError("truncation must be a positive integer")
+    single = len(truncations) == 1
+    out: dict = {}
+    for key, c in terms:
+        parts = tuple(map(_check_index, (key,) if single else key))
+        key = _key(parts)
+        if len(parts) != len(truncations):
+            raise ValueError("index %r does not fit truncations %r" % (key, truncations))
+        if min(parts) < 1:
+            raise ValueError("index %r out of range (must be >= 1)" % (key,))
+        if any(i > t for i, t in zip(parts, truncations)):
+            raise ValueError("index %r exceeds truncation %r" % (key, _key(truncations)))
+        if key in out:
+            raise ValueError("duplicate index %r" % (key,))
+        out[key] = _check_finite(c)
+    return _pruned(out)
+
+
+class _Series:
+    """The methods single and double series share; an index is n or m, n."""
+
+    def coefficient(self, *index) -> complex:
+        return self.terms.get(_key(index), 0j)
+
+    def support(self) -> list:
         return sorted(self.terms)
 
     def is_zero(self) -> bool:
@@ -65,33 +94,34 @@ class DirichletSeries:
         return sum(abs(c) for c in self.terms.values())
 
 
-def make_series(terms, truncation: int) -> DirichletSeries:
-    """Build a series from (index, coefficient) pairs.
+@dataclass(frozen=True)
+class DirichletSeries(_Series):
+    """Finite Dirichlet series sum a_n n^{-s} with support in 1..truncation."""
 
-    Duplicate indices, non-integer or bool indices, indices outside
-    1..truncation and non-finite coefficients are rejected.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be a positive integer")
-    out: dict[int, complex] = {}
-    for n, c in terms:
-        n = _check_index(n)
-        if n < 1:
-            raise ValueError("index %r out of range (must be >= 1)" % (n,))
-        if n > truncation:
-            raise ValueError("index %d exceeds truncation %d" % (n, truncation))
-        if n in out:
-            raise ValueError("duplicate index %d" % n)
-        out[n] = _check_finite(c)
-    return DirichletSeries(_pruned(out), truncation)
+    terms: dict[int, complex]
+    truncation: int
+
+    def __post_init__(self):
+        if self.truncation < 1:
+            raise ValueError("truncation must be a positive integer")
+
+    @property
+    def truncations(self) -> tuple[int]:
+        """The truncation as a 1-tuple, as a double series has a pair."""
+        return (self.truncation,)
+
+
+def make_series(terms, truncation: int) -> DirichletSeries:
+    """Build a series from (index, coefficient) pairs (see _validated)."""
+    return DirichletSeries(_validated(terms, (truncation,)), truncation)
 
 
 def zero_series(truncation: int = 1) -> DirichletSeries:
-    return DirichletSeries({}, truncation)
+    return make_series((), truncation)
 
 
 def constant_series(c: complex, truncation: int = 1) -> DirichletSeries:
-    return DirichletSeries(_pruned({1: _check_finite(c)}), truncation)
+    return make_series([(1, c)], truncation)
 
 
 def add(A: DirichletSeries, B: DirichletSeries) -> DirichletSeries:
@@ -104,9 +134,10 @@ def add(A: DirichletSeries, B: DirichletSeries) -> DirichletSeries:
     return DirichletSeries(_pruned(out), trunc)
 
 
-def scale(A: DirichletSeries, c: complex) -> DirichletSeries:
+def scale(A, c: complex):
+    """Every coefficient times c, for a single or a double series."""
     c = _check_finite(c)
-    return DirichletSeries(_pruned({n: a * c for n, a in A.terms.items()}), A.truncation)
+    return type(A)(_pruned({n: a * c for n, a in A.terms.items()}), _key(A.truncations))
 
 
 def mul(A: DirichletSeries, B: DirichletSeries, truncation: int) -> DirichletSeries:

@@ -152,3 +152,17 @@ class TestReportLines:
             "seed": 42,
             "kind": "hp",
         }
+
+    def test_norm_estimate_line_carries_moments(self):
+        est = NormEstimate(1.5, 0.01, 1000, 42, "hp", moment=2.25, moment_stderr=0.03)
+        rec = json.loads(norm_estimate_line(est))
+        assert rec["moment"] == 2.25
+        assert rec["moment_stderr"] == 0.03
+        assert "upper" not in rec
+
+    def test_norm_estimate_line_carries_hinf_upper_bound(self):
+        est = NormEstimate(1.2, 0.0, 64, 3, "hinf-lower", upper=2.0)
+        rec = json.loads(norm_estimate_line(est))
+        assert rec["upper"] == 2.0
+        assert rec["value"] == 1.2
+        assert "moment" not in rec and "moment_stderr" not in rec

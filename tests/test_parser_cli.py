@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from ddseries.cli import main
+from ddseries.cli import build_parser, main
 from ddseries.double import DoubleDirichletSeries, make_double_series
 from ddseries.formats import dumps_series, dumps_symbol, loads_series
 from ddseries.compose import Symbol
@@ -102,6 +105,22 @@ class TestPrintExpression:
 
     def test_zero(self):
         assert parse_expression(print_expression(zero_series(4))).is_zero()
+
+    def test_double_without_t_atoms_stays_double(self):
+        D = make_double_series([((1, 1), 1 + 0j), ((2, 1), 2 + 0j)], (4, 4))
+        text = print_expression(D)
+        assert text == "1.0*1^-t + 2.0*2^-s"
+        back = parse_expression(text, 4)
+        assert isinstance(back, DoubleDirichletSeries)
+        assert back.terms == D.terms
+        assert parse_expression("1.0*1^-t + 2.0*2^-s", 4) == back
+
+    def test_double_zero_stays_double(self):
+        text = print_expression(make_double_series([], (4, 4)))
+        assert text == "0.0*1^-t"
+        back = parse_expression(text, 4)
+        assert isinstance(back, DoubleDirichletSeries)
+        assert back.is_zero()
 
 
 class TestCliCommands:
@@ -248,3 +267,21 @@ class TestCliCommands:
 
     def test_missing_file(self):
         assert main(["eval", "--in", "/nonexistent/file", "--s", "1"]) == 2
+
+    def test_format_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["eval", "--s", "1", "--format", "text"])
+
+    def test_lift_of_largest_prime_below_a_million(self):
+        """A cold process lifts 999983 through factor's sieve and its prime
+        list; a trial-division prime table took minutes here."""
+        import ddseries
+
+        src = os.path.dirname(os.path.dirname(ddseries.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "ddseries.cli", "lift", "--trunc", "1000000"],
+            input="999983^-s\n", capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "bohr v1 single\n78498:1 1.0 0.0\n"
