@@ -239,6 +239,10 @@ def coefficient_extract(evaluator, j: int, sigma: float, T: float,
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
+    if not (0 < T < math.inf and math.isfinite(sigma)):
+        raise ValueError("T must be positive and finite, and sigma finite")
+    if panels < 1:
+        raise ValueError("panels must be >= 1")
     value = _mean_value(evaluator, float(j), sigma, T, panels)
     bound = None
     if support is not None:

@@ -174,7 +174,7 @@ def _torus_values(D: DirichletSeries, samples: int, seed: int) -> np.ndarray:
     E, coeffs, nprimes = _exponent_matrix(P)
     rng = np.random.default_rng(seed)
     phases = rng.random((samples, max(nprimes, 1)))
-    return np.exp(2j * np.pi * phases[:, : E.shape[1]] @ E.T) @ coeffs
+    return np.exp(2j * np.pi * (phases[:, : E.shape[1]] @ E.T)) @ coeffs
 
 
 def hp_norm_estimate(D: DirichletSeries, p: float, samples: int, seed: int) -> NormEstimate:
@@ -184,8 +184,8 @@ def hp_norm_estimate(D: DirichletSeries, p: float, samples: int, seed: int) -> N
     the sample mean of |Bf|^p; stderr is the moment standard error
     propagated to the norm by the delta method.
     """
-    if p < 1:
-        raise ValueError("hp_norm_estimate requires p >= 1")
+    if not 1 <= p < math.inf:  # NaN fails too
+        raise ValueError("hp_norm_estimate requires a finite p >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     vals = np.abs(_torus_values(D, samples, seed)) ** p
@@ -213,11 +213,11 @@ def hinf_norm_estimate(D: DirichletSeries, samples: int, seed: int) -> NormEstim
     if nprimes == 0:  # constant polynomial
         return NormEstimate(abs(coeffs[0]), 0.0, samples, seed, "hinf-lower", upper=upper)
     phases = rng.random((samples, nprimes))
-    vals = np.abs(np.exp(2j * np.pi * phases @ E.T) @ coeffs)
+    vals = np.abs(np.exp(2j * np.pi * (phases @ E.T)) @ coeffs)
     best = int(np.argmax(vals))
 
     def neg_abs(theta):
-        return -abs(np.exp(2j * np.pi * theta @ E.T) @ coeffs)
+        return -abs(np.exp(2j * np.pi * (theta @ E.T)) @ coeffs)
 
     res = minimize(neg_abs, phases[best], method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})

@@ -10,6 +10,7 @@ or input error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 from . import acceptance
@@ -21,8 +22,6 @@ from .analyze import (
 )
 from .bohr import DoublePrimePolynomial, hinf_norm_estimate, hp_norm_estimate, lift, unlift
 from .compose import (
-    DoubleSymbol,
-    Symbol,
     SymbolRecoveryError,
     apply,
     compactness_check,
@@ -88,9 +87,12 @@ def _read_single(path: str | None, args):
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        z = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError:
         raise UsageError("cannot parse complex number %r" % text)
+    if not cmath.isfinite(z):
+        raise UsageError("point %r is not finite" % text)
+    return z
 
 
 def _cmd_eval(args) -> int:
@@ -121,11 +123,9 @@ def _cmd_mul(args) -> int:
 def _cmd_compose(args) -> int:
     sym = loads_symbol(_read(args.symbol))
     D = _read_series(args.infile, args.trunc)
-    double = isinstance(sym, DoubleSymbol)
-    if double != isinstance(D, DoubleDirichletSeries):
+    if len(sym.phis) != len(D.truncations):
         raise UsageError("the symbol and the series differ in the number of variables")
-    trunc = (args.trunc, args.trunc) if double else args.trunc
-    _write(args.out, dumps_series(apply(sym, D, trunc)))
+    _write(args.out, dumps_series(apply(sym, D, (args.trunc,) * len(sym.phis))))
     return 0
 
 
@@ -173,7 +173,7 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_check_symbol(args) -> int:
     sym = loads_symbol(_read(args.symbol))
-    grid = halfplane_grid if isinstance(sym, Symbol) else halfplane_grid2
+    grid = (halfplane_grid, halfplane_grid2)[len(sym.phis) - 1]
     rep = validate_symbol(sym, grid(args.epsilon))
     lines = []
     for name, mn in sorted(rep.min_re.items()):
@@ -187,7 +187,7 @@ def _cmd_check_symbol(args) -> int:
 
 def _cmd_check_compact(args) -> int:
     sym = loads_symbol(_read(args.symbol))
-    if not isinstance(sym, DoubleSymbol):
+    if len(sym.phis) != 2:
         raise UsageError("check-compact needs a two-variable symbol")
     rep = compactness_check(sym, boundary_grid2(args.min_re))
     line = check_line("compactness-delta", rep.compact, rep.delta, 1e-4)

@@ -1,18 +1,20 @@
 """Symbol calculus for composition operators on half-planes.
 
-A symbol in one variable is c0*s + phi(s) with c0 a non-negative integer
-and phi a truncated Dirichlet series; in two variables each component is
-c*s + d*t + phi_j(s,t) with four non-negative integer slopes.  The core
-primitive is the expansion of k^{-symbol} as a (double) Dirichlet series,
-computed along two independent routes: the production exp-recurrence path
-and the factorization-sum path used as an oracle.
+A symbol in d = 1 or 2 variables is C z + (phi_1, ..., phi_d)(z) with C a
+d x d matrix of non-negative integer slopes and each phi_i a truncated
+Dirichlet series in d variables.  The core primitive is the expansion of
+k^{-symbol} as a (double) Dirichlet series, computed along two independent
+routes: the production exp-recurrence path and the factorization-sum path
+used as an oracle.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .bohr import (
@@ -23,65 +25,73 @@ from .bohr import (
 )
 from .double import (
     DoubleDirichletSeries,
+    _evaluate,
+    _make,
     _rows,
     add2,
     evaluate2,
     scale2,
-    zero_double,
 )
 from .factor import pair_factorizations
 from .series import (
     DirichletSeries,
+    _check_index,
+    _key,
+    _parts,
     _pruned,
-    evaluate,
+    _Series,
     exp_series,
     log_series,
     scale,
-    zero_series,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Symbol:
-    """Composition-operator symbol c0*s + phi(s)."""
+    """Composition-operator symbol: Symbol(c0, phi) is c0*s + phi(s), and
+    Symbol(c1, d1, c2, d2, phi1, phi2) has the components c_j*s + d_j*t +
+    phi_j(s,t).  The d*d slopes come row by row, then d series of arity d,
+    as in the `symbol v1` header; `slopes` holds the rows, `phis` the series.
+    """
 
-    c0: int
-    phi: DirichletSeries
+    slopes: tuple
+    phis: tuple
 
-    def __post_init__(self):
-        if self.c0 < 0 or int(self.c0) != self.c0:
-            raise ValueError("c0 must be a non-negative integer")
+    def __init__(self, *args):
+        d = {2: 1, 6: 2}.get(len(args))
+        if d is None:
+            raise TypeError("a symbol takes c0, phi or c1, d1, c2, d2, phi1, phi2")
+        try:  # ints only: bools, floats and negative values are rejected
+            flat = tuple(map(_check_index, args[:d * d]))
+            if min(flat) < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError("slopes must be non-negative integers, got %r"
+                             % (args[:d * d],)) from None
+        phis = args[d * d:]
+        if any(not isinstance(phi, _Series) or len(phi.truncations) != d for phi in phis):
+            raise ValueError("a symbol in %d variable(s) takes series in %d variable(s)"
+                             % (d, d))
+        object.__setattr__(self, "slopes", tuple(flat[i * d:i * d + d] for i in range(d)))
+        object.__setattr__(self, "phis", phis)
 
-    def __call__(self, s: complex) -> complex:
-        return self.c0 * s + evaluate(self.phi, s)
+    c0 = c1 = property(lambda self: self.slopes[0][0])
+    d1 = property(lambda self: self.slopes[0][1])
+    c2 = property(lambda self: self.slopes[1][0])
+    d2 = property(lambda self: self.slopes[1][1])
+    phi = phi1 = property(lambda self: self.phis[0])
+    phi2 = property(lambda self: self.phis[1])
+
+    def __call__(self, *z):
+        """The value at s in one variable; the pair of component values at
+        (s, t) in two."""
+        return _key(tuple(
+            functools.reduce(operator.add, map(operator.mul, row, z)) + _evaluate(phi, *z)
+            for row, phi in zip(self.slopes, self.phis)
+        ))
 
 
-@dataclass(frozen=True)
-class DoubleSymbol:
-    """Two-component symbol, component j being c_j*s + d_j*t + phi_j(s,t)."""
-
-    c1: int
-    d1: int
-    c2: int
-    d2: int
-    phi1: DoubleDirichletSeries
-    phi2: DoubleDirichletSeries
-
-    def __post_init__(self):
-        for v in (self.c1, self.d1, self.c2, self.d2):
-            if v < 0 or int(v) != v:
-                raise ValueError("slopes must be non-negative integers")
-
-    def component(self, j: int):
-        if j == 1:
-            return self.c1, self.d1, self.phi1
-        if j == 2:
-            return self.c2, self.d2, self.phi2
-        raise ValueError("component index must be 1 or 2")
-
-    def __call__(self, s: complex, t: complex) -> tuple[complex, complex]:
-        return tuple(c * s + d * t + evaluate2(phi, s, t)
-                     for c, d, phi in map(self.component, (1, 2)))
+DoubleSymbol = Symbol
 
 
 @dataclass
@@ -105,24 +115,19 @@ _BOUNDARY_EPS = 1e-12
 def validate_symbol(sym, probes) -> ValidationReport:
     """Structural plus sampled range checks; diagnostics, never raises.
 
-    probes: points s in C_+ for a Symbol, pairs (s, t) in C_+^2 for a
-    DoubleSymbol.
+    probes: points s in C_+ for a symbol in one variable, pairs (s, t) in
+    C_+^2 for one in two.
     """
     report = ValidationReport(ok=True)
-    if isinstance(sym, Symbol):
-        comps = [("phi", sym.c0 > 0, lambda p: evaluate(sym.phi, p))]
-    elif isinstance(sym, DoubleSymbol):
-        comps = [
-            ("phi1", sym.c1 > 0 or sym.d1 > 0, lambda p: evaluate2(sym.phi1, *p)),
-            ("phi2", sym.c2 > 0 or sym.d2 > 0, lambda p: evaluate2(sym.phi2, *p)),
-        ]
-    else:
-        raise TypeError("expected Symbol or DoubleSymbol")
-    for name, has_slope, ev in comps:
-        res = [ev(p).real for p in probes]
+    if not isinstance(sym, Symbol):
+        raise TypeError("expected a Symbol")
+    names = ("phi",) if len(sym.phis) == 1 else ("phi1", "phi2")
+    probes = [_parts(p) for p in probes]  # a list: every component reads them all
+    for name, row, phi in zip(names, sym.slopes, sym.phis):
+        res = [_evaluate(phi, *p).real for p in probes]
         mn = min(res) if res else 0.0
         report.min_re[name] = mn
-        if has_slope:
+        if any(row):
             # slope present: phi needs Re >= 0; identically-zero Re is the
             # constant-imaginary boundary case
             if mn < -_BOUNDARY_EPS:
@@ -142,21 +147,42 @@ def validate_symbol(sym, probes) -> ValidationReport:
     return report
 
 
-def char_power(k: int, sym: Symbol, truncation: int) -> DirichletSeries:
-    """The Dirichlet series of k^{-sym(s)}.
+def _char_power(ks, sym: Symbol, truncations: tuple):
+    """The series of prod_i k_i^{-Phi_i}, Phi_i the components of sym.
 
-    Computed as exp_series(-ln k * phi) with every index shifted by the
-    factor k^{c0} coming from k^{-c0 s}.  k == 1 gives the constant 1.
+    Its slope part prod_i k_i^{-(C z)_i} multiplies every index on axis j
+    by prod_i k_i^{C_ij}; exp being a homomorphism, the rest is one exp of
+    -sum_i ln k_i * phi_i on the truncations left after that shift.
     """
-    if k < 1:
-        raise ValueError("char_power requires k >= 1")
-    shift = k**sym.c0
-    if shift > truncation:
-        return zero_series(truncation)
-    inner = exp_series(scale(sym.phi, -math.log(k)), truncation // shift)
-    return DirichletSeries(
-        {n * shift: c for n, c in inner.terms.items()}, truncation
-    )
+    if len(ks) != len(sym.phis) or min(ks) < 1:
+        raise ValueError("char_power takes %d base(s) k >= 1" % len(sym.phis))
+    shifts = [math.prod(map(pow, ks, column)) for column in zip(*sym.slopes)]
+    inner = tuple(map(operator.floordiv, truncations, shifts))
+    if 0 in inner:  # a shift beyond its truncation leaves no index in range
+        return _make((), truncations)
+    # one component is its own sum: add2 runs in two variables only
+    log_char = functools.reduce(add2, (scale(type(phi)(phi.terms, _key(inner)), -math.log(k))
+                                       for k, phi in zip(ks, sym.phis)))
+    if len(ks) == 1:
+        (shift,) = shifts
+        terms = {n * shift: c for n, c in exp_series(log_char, inner[0]).terms.items()}
+    else:
+        sm, sn = shifts
+        terms = {(m * sm, n * sn): v for (m, n), v in exp2(log_char, inner).terms.items()}
+    return type(log_char)(terms, _key(truncations))
+
+
+def char_power(k: int, sym: Symbol, truncation: int) -> DirichletSeries:
+    """The Dirichlet series of k^{-sym(s)}: exp_series(-ln k * phi) with
+    every index multiplied by k^{c0}.  k == 1 gives the constant 1."""
+    return _char_power((k,), sym, (truncation,))
+
+
+def char_power_double(k: int, l: int, sym: Symbol, truncations) -> DoubleDirichletSeries:
+    """The double Dirichlet series of k^{-Phi_1(s,t)} l^{-Phi_2(s,t)}: one
+    exp2 of -ln k * phi_1 - ln l * phi_2 with the slope shifts
+    (m, n) -> (k^c1 l^c2 m, k^d1 l^d2 n) applied."""
+    return _char_power((k, l), sym, tuple(truncations))
 
 
 scale_double = scale2
@@ -203,31 +229,6 @@ def exp2(phi: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
     return DoubleDirichletSeries(_pruned({k: factor * v for k, v in out.items()}), (M, N))
 
 
-def char_power_double(k: int, l: int, sym: DoubleSymbol, truncations) -> DoubleDirichletSeries:
-    """The double Dirichlet series of k^{-phi_1(s,t)} l^{-phi_2(s,t)} with
-    the slope shifts (M, N) -> (k^c1 l^c2 M, k^d1 l^d2 N) applied.
-
-    exp is a homomorphism, so the product is one exp2 of
-    -ln k * phi_1 - ln l * phi_2.
-    """
-    if k < 1 or l < 1:
-        raise ValueError("char_power_double requires k, l >= 1")
-    M, N = truncations
-    sm = k**sym.c1 * l**sym.c2
-    sn = k**sym.d1 * l**sym.d2
-    if sm > M or sn > N:
-        return zero_double(truncations)
-    inner_t = (M // sm, N // sn)
-    log_char = add2(
-        scale2(DoubleDirichletSeries(sym.phi1.terms, inner_t), -math.log(k)),
-        scale2(DoubleDirichletSeries(sym.phi2.terms, inner_t), -math.log(l)),
-    )
-    prod = exp2(log_char, inner_t)
-    return DoubleDirichletSeries(
-        {(m * sm, n * sn): v for (m, n), v in prod.terms.items()}, (M, N)
-    )
-
-
 def char_power_via_factorizations(k: int, phi: DoubleDirichletSeries,
                                   truncations) -> DoubleDirichletSeries:
     """Oracle route for the series of k^{-phi(s,t)}: coefficients summed
@@ -264,20 +265,20 @@ def char_power_via_factorizations(k: int, phi: DoubleDirichletSeries,
 
 def apply(sym, D, truncation):
     """The composition operator: the series of D(sym(s)), or of D(sym(s, t))
-    for a DoubleSymbol and a double series, the truncation then being a
+    for a symbol and a series in two variables, the truncation then being a
     pair.  Colliding output indices accumulate."""
-    double = isinstance(sym, DoubleSymbol)
-    if double:
-        truncation = tuple(truncation)
+    truncs = _parts(truncation)
+    truncation = _key(truncs)
+    # the public names, looked up now, so that a traced run counts the work
+    power = char_power if len(truncs) == 1 else char_power_double
     out: dict = {}
     for k, a in sorted(D.terms.items()):
-        piece = char_power_double(*k, sym, truncation) if double else char_power(k, sym, truncation)
-        for n, c in piece.terms.items():
+        for n, c in power(*_parts(k), sym, truncation).terms.items():
             out[n] = out.get(n, 0j) + a * c
     return type(D)(_pruned(out), truncation)
 
 
-def apply_double(sym: DoubleSymbol, D: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
+def apply_double(sym: Symbol, D: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
     """apply of a two-variable symbol."""
     return apply(sym, D, truncations)
 
@@ -345,16 +346,14 @@ class RangeReport:
     probes: int
 
 
-def _component_mins(sym: DoubleSymbol, grid) -> tuple[float, float]:
+def _component_mins(sym: Symbol, grid) -> tuple:
     """Sampled min over the grid of Re of each full component of sym,
     slopes included."""
-    return tuple(
-        min(c * s.real + d * t.real + evaluate2(phi, s, t).real for (s, t) in grid)
-        for c, d, phi in map(sym.component, (1, 2))
-    )
+    values = [_parts(sym(*_parts(pt))) for pt in grid]
+    return tuple(min(v[i].real for v in values) for i in range(len(sym.phis)))
 
 
-def range_check(sym: DoubleSymbol, epsilon: float, grid) -> RangeReport:
+def range_check(sym: Symbol, epsilon: float, grid) -> RangeReport:
     """Sampled min over C_epsilon^2 of Re phi_j(s,t) (full component,
     slopes included), estimating the delta of the range lemma."""
     if epsilon <= 0:
@@ -394,7 +393,7 @@ class CompactnessReport:
 _COMPACT_THRESHOLD = 1e-4
 
 
-def compactness_check(sym: DoubleSymbol, grid) -> CompactnessReport:
+def compactness_check(sym: Symbol, grid) -> CompactnessReport:
     """Sampled inf of Re phi_j over a grid approaching the boundary of
     C_+^2.  A positive inf (above threshold) yields a compact verdict with
     delta; an inf collapsing to 0 yields non-compact."""
@@ -411,30 +410,23 @@ def bohr_commutation_check(sym, f, probes, truncation: int = 512) -> float:
     substitutes z_j -> series of p_j^{-sym}.  Double variable analogously
     with pairs (s, t), and z_j -> p_j^{-sym_1}, w_j -> p_j^{-sym_2}.
     """
-    double = isinstance(sym, DoubleSymbol)
-    if not (double or isinstance(sym, Symbol)):
-        raise TypeError("expected Symbol or DoubleSymbol")
-    if not isinstance(f, DoublePrimePolynomial if double else PrimePolynomial):
+    if not isinstance(sym, Symbol):
+        raise TypeError("expected a Symbol")
+    d = len(sym.phis)
+    if not isinstance(f, (PrimePolynomial, DoublePrimePolynomial)[d - 1]):
         raise TypeError("the symbol and the polynomial differ in the number of variables")
-    truncs = (truncation, truncation) if double else truncation
-
-    def power(i, p):  # the series of p^{-sym_i}, i = 0, 1
-        if not double:
-            return char_power(p, sym, truncs)
-        return char_power_double(*((p, 1) if i == 0 else (1, p)), sym, truncs)
-
-    def value(D, pt):
-        return evaluate2(D, *pt) if double else evaluate(D, pt)
-
+    truncs = (truncation,) * d
     G = apply(sym, unlift(f, truncs), truncs)
     # one multi-index per axis; position j of axis i is substituted by psi[i, j]
-    terms = [(key if double else (key,), c) for key, c in f.terms.items()]
+    terms = [((key,) if d == 1 else key, c) for key, c in f.terms.items()]
     used = {(i, pos) for alphas, _ in terms for i, alpha in enumerate(alphas) for pos, _ in alpha}
-    psi = {(i, pos): power(i, prime(pos)) for i, pos in sorted(used)}
+    # the series of p^{-sym_i}: the base p on axis i, 1 on the others
+    psi = {(i, pos): _char_power(tuple(prime(pos) if j == i else 1 for j in range(d)), sym, truncs)
+           for i, pos in sorted(used)}
     residual = 0.0
     for pt in probes:
-        lhs = value(G, pt)
-        vals = {k: value(ser, pt) for k, ser in psi.items()}
+        lhs = _evaluate(G, *_parts(pt))
+        vals = {k: _evaluate(ser, *_parts(pt)) for k, ser in psi.items()}
         rhs = 0j
         for alphas, c in terms:
             term = c

@@ -49,6 +49,11 @@ def _make(terms, truncations):
     return make_double_series(terms, truncations)
 
 
+def _evaluate(D, *z):
+    """evaluate at a point s, evaluate2 at a pair (s, t)."""
+    return evaluate(D, *z) if len(z) == 1 else evaluate2(D, *z)
+
+
 def add2(A: DoubleDirichletSeries, B: DoubleDirichletSeries) -> DoubleDirichletSeries:
     M = min(A.truncations[0], B.truncations[0])
     N = min(A.truncations[1], B.truncations[1])

@@ -14,7 +14,7 @@ output ordering is index-lexicographic so files are diffable.
 from __future__ import annotations
 
 from .bohr import DoublePrimePolynomial, PrimePolynomial
-from .compose import DoubleSymbol, Symbol
+from .compose import Symbol
 from .double import DoubleDirichletSeries, _make
 from .series import DirichletSeries, _key, _parts
 
@@ -94,15 +94,11 @@ def _parse_series_block(lines: list[str]):
 
 
 def dumps_symbol(sym) -> str:
-    if isinstance(sym, Symbol):
-        return "symbol v1 single %d\n" % sym.c0 + dumps_series(sym.phi)
-    if isinstance(sym, DoubleSymbol):
-        return (
-            "symbol v1 double %d %d %d %d\n" % (sym.c1, sym.d1, sym.c2, sym.d2)
-            + dumps_series(sym.phi1)
-            + dumps_series(sym.phi2)
-        )
-    raise TypeError("expected a symbol")
+    if not isinstance(sym, Symbol):
+        raise TypeError("expected a symbol")
+    slopes = (v for row in sym.slopes for v in row)
+    head = "symbol v1 %s %s\n" % (_KINDS[len(sym.phis) - 1], _ints(slopes))
+    return head + "".join(map(dumps_series, sym.phis))
 
 
 def loads_symbol(text: str):
@@ -113,9 +109,8 @@ def loads_symbol(text: str):
     if len(head) < 3 or head[0] != "symbol" or head[1] != "v1":
         raise FormatError("bad symbol header: %r" % lines[0])
     arity = _arity(head[2], "symbol")
-    slopes = (1, 4)[arity - 1]  # c0, or c1 d1 c2 d2
-    if len(head) != 3 + slopes:
-        raise FormatError("%s symbol header needs %d slope(s)" % (head[2], slopes))
+    if len(head) != 3 + arity * arity:
+        raise FormatError("%s symbol header needs %d slope(s)" % (head[2], arity * arity))
     phis, rest = [], lines[1:]
     for _ in range(arity):
         phi, rest = _parse_series_block(rest)
@@ -124,7 +119,7 @@ def loads_symbol(text: str):
         phis.append(phi)
     if rest:
         raise FormatError("trailing content after symbol")
-    return (Symbol, DoubleSymbol)[arity - 1](*map(int, head[3:]), *phis)
+    return Symbol(*map(int, head[3:]), *phis)
 
 
 def _fmt_alpha(alpha) -> str:
@@ -134,13 +129,19 @@ def _fmt_alpha(alpha) -> str:
 
 
 def _parse_alpha(text: str):
+    """A multi-index: positions from 1 on, strictly increasing, each with an
+    exponent >= 1, so that every monomial has exactly one spelling."""
     if text == "-":
         return ()
-    parts = []
+    alpha = []
     for chunk in text.split(","):
         pos, e = chunk.split(":")
-        parts.append((int(pos), int(e)))
-    return tuple(parts)
+        alpha.append((int(pos), int(e)))
+    positions = [pos for pos, _ in alpha]
+    if positions[0] < 1 or positions != sorted(set(positions)) or min(e for _, e in alpha) < 1:
+        raise FormatError("bad multi-index %r: positions must increase from 1 and "
+                          "exponents be >= 1" % text)
+    return tuple(alpha)
 
 
 def dumps_polynomial(P) -> str:
@@ -169,6 +170,8 @@ def loads_polynomial(text: str):
         if len(parts) != arity + 2:
             raise FormatError("bad polynomial line: %r" % line)
         key = _key(tuple(map(_parse_alpha, parts[:arity])))
+        if key in terms:
+            raise FormatError("duplicate monomial %r" % " ".join(parts[:arity]))
         terms[key] = complex(float(parts[-2]), float(parts[-1]))
     return (PrimePolynomial, DoublePrimePolynomial)[arity - 1](terms)
 

@@ -60,8 +60,8 @@ def young_bound_verify(P: DirichletSeries, k: int, p: float, q: float,
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if k * q > p:
-        raise ValueError("young_bound_verify requires k*q <= p")
+    if not k * q <= p < math.inf:  # NaN fails too
+        raise ValueError("young_bound_verify requires k*q <= p < inf")
     trunc = max(P.terms, default=1) ** k
     Pk = constant_series(1, trunc)
     for _ in range(k):

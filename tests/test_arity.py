@@ -1,6 +1,6 @@
 """The paths written once for both arities, under hypothesis: lift/unlift,
 dumps/loads and the multiplicativity of the lift, on single and double
-series alike, plus the prime table they read."""
+series alike, the one symbol type, plus the prime table they read."""
 
 import math
 
@@ -16,8 +16,16 @@ from ddseries.bohr import (
     prime,
     unlift,
 )
-from ddseries.double import make_double_series, mul2
-from ddseries.formats import dumps_polynomial, dumps_series, loads_polynomial, loads_series
+from ddseries.compose import DoubleSymbol, Symbol, char_power, char_power_double
+from ddseries.double import embed_single, make_double_series, mul2, zero_double
+from ddseries.formats import (
+    dumps_polynomial,
+    dumps_series,
+    dumps_symbol,
+    loads_polynomial,
+    loads_series,
+    loads_symbol,
+)
 from ddseries.series import DirichletSeries, make_series, mul
 
 N, M = 512, 24
@@ -106,6 +114,49 @@ class TestLiftIsMultiplicative:
     def test_double(self, A, B):
         direct = lift(mul2(A, B, (M * M, M * M))).terms
         self._assert_close(direct, _poly_product(lift(A), lift(B)))
+
+
+_slope = st.integers(0, 2)
+_small = _coeffs.map(lambda c: c / 8)
+
+
+def _small_single(T):
+    return st.dictionaries(st.integers(1, T), _small, max_size=5).map(
+        lambda t: make_series(t.items(), T))
+
+
+def _small_double(T):
+    index = st.tuples(st.integers(1, T), st.integers(1, T))
+    return st.dictionaries(index, _small, max_size=5).map(
+        lambda t: make_double_series(t.items(), (T, T)))
+
+
+class TestOneSymbol:
+    def test_double_symbol_is_symbol(self):
+        assert DoubleSymbol is Symbol
+
+    @ROUND_TRIPS
+    @given(_slope, _small_single(16), st.integers(1, 12), st.sampled_from([16, 64, 256]))
+    def test_char_power_is_char_power_double_on_the_first_axis(self, c0, phi, k, n):
+        """A one-variable symbol is the two-variable one whose second
+        component is t itself; read on the first axis, the two agree bit
+        for bit."""
+        double = DoubleSymbol(c0, 0, 0, 1, embed_single(phi), zero_double((phi.truncation, 1)))
+        got = char_power_double(k, 1, double, (n, 1))
+        assert {m: c for (m, _), c in got.terms.items()} == char_power(k, Symbol(c0, phi), n).terms
+        assert all(col == 1 for _, col in got.terms)
+
+    @ROUND_TRIPS
+    @given(_slope, _small_single(16))
+    def test_symbol_text_round_trip_single(self, c0, phi):
+        sym = Symbol(c0, phi)
+        assert loads_symbol(dumps_symbol(sym)) == sym
+
+    @ROUND_TRIPS
+    @given(st.lists(_slope, min_size=4, max_size=4), _small_double(8), _small_double(8))
+    def test_symbol_text_round_trip_double(self, slopes, phi1, phi2):
+        sym = DoubleSymbol(*slopes, phi1, phi2)
+        assert loads_symbol(dumps_symbol(sym)) == sym
 
 
 class TestPrimeTable:

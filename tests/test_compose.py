@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ddseries.compose import (
@@ -67,10 +68,49 @@ class TestValidateSymbol:
         assert not rep.ok
         assert rep.failures
 
+    def test_probes_may_be_an_iterator(self):
+        # the second component must see the probes too
+        sym = DoubleSymbol(1, 0, 0, 1, zero_double((1, 1)), constant_double(-1, (1, 1)))
+        rep = validate_symbol(sym, iter(halfplane_grid2(1e-3, n_re=3, n_im=3)))
+        assert not rep.ok
+        assert rep.min_re["phi2"] == -1
+
     def test_imaginary_constant_is_boundary(self):
         rep = validate_symbol(Symbol(1, constant_series(2j, 4)), halfplane_grid(1e-3))
         assert rep.ok
         assert rep.boundary == ["phi"]
+
+
+class TestSymbolConstructor:
+    """Slopes are non-negative ints and every series has the symbol's arity."""
+
+    def test_float_slope_rejected(self):
+        # a float slope used to give float indices: [2.0, 4.0, 8.0, 16.0]
+        with pytest.raises(ValueError):
+            Symbol(1.0, make_series([(2, 0.1)], 16))
+
+    def test_bool_slope_rejected(self):
+        with pytest.raises(ValueError):
+            Symbol(True, zero_series(8))
+
+    def test_negative_slope_rejected(self):
+        with pytest.raises(ValueError):
+            DoubleSymbol(1, 0, 0, -1, zero_double((1, 1)), zero_double((1, 1)))
+
+    def test_series_of_the_other_arity_rejected(self):
+        with pytest.raises(ValueError):
+            Symbol(1, zero_double((4, 4)))
+        with pytest.raises(ValueError):
+            DoubleSymbol(1, 0, 0, 1, zero_series(4), zero_double((4, 4)))
+
+    def test_slopes_stored_as_int(self):
+        sym = Symbol(np.int64(2), zero_series(8))
+        assert sym.slopes == ((2,),) and type(sym.c0) is int
+        assert sorted(char_power(2, sym, 16).terms) == [4]
+
+    def test_wrong_number_of_arguments(self):
+        with pytest.raises(TypeError):
+            Symbol(1, 0, zero_double((1, 1)), zero_double((1, 1)))
 
 
 class TestCharPower:

@@ -136,6 +136,20 @@ class TestErrors:
         with pytest.raises(FormatError):
             loads_polynomial("bohr v1 triple\n")
 
+    def test_repeated_monomial(self):
+        with pytest.raises(FormatError):
+            loads_polynomial("bohr v1 single\n1:1 1.0 0.0\n1:1 2.0 0.0\n")
+        with pytest.raises(FormatError):
+            loads_polynomial("bohr v1 double\n1:1 - 1.0 0.0\n1:1 - 2.0 0.0\n")
+
+    @pytest.mark.parametrize("alpha", ["1:1,1:1", "2:1,1:1", "6:0", "1:-1", "0:1"])
+    def test_non_canonical_multi_index(self, alpha):
+        # positions strictly increasing from 1, exponents >= 1
+        with pytest.raises(FormatError):
+            loads_polynomial("bohr v1 single\n%s 1.0 0.0\n" % alpha)
+        with pytest.raises(FormatError):
+            loads_polynomial("bohr v1 double\n- %s 1.0 0.0\n" % alpha)
+
 
 class TestReportLines:
     def test_check_line(self):

@@ -260,6 +260,21 @@ class TestCliCommands:
         assert main(["eval", "--in", str(src), "--s", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: parentheses nested deeper")
 
+    @pytest.mark.parametrize("argv", [
+        ["coeff", "--j", "2", "--T", "0"],
+        ["coeff", "--j", "2", "--panels", "0"],
+        ["norm", "--p", "nan", "--seed", "1"],
+        ["eval", "--s", "nan"],
+        ["check-young", "--k", "1", "--p", "inf", "--q", "1", "--seed", "1"],
+    ])
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, capsys, argv):
+        src = tmp_path / "d.txt"
+        src.write_text("1 + 2^-s")
+        assert main(argv + ["--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_bad_format_file(self, tmp_path):
         src = tmp_path / "d.txt"
         src.write_text("dirichlet v1 single 4\n2 nope 0.0\n")
