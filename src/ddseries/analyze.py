@@ -2,7 +2,8 @@
 the four-corner three-lines inequality, mean-value coefficient extraction
 and the coefficient-versus-norm bound.
 
-All sup estimates are sampled lower bounds (grid plus local refinement);
+All sup estimates are sampled lower bounds (a grid, then a gradient ascent
+from the best starts);
 every inequality check inflates its tolerance accordingly and reports on
 which side the bias lies.
 """
@@ -13,96 +14,74 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
-from .bohr import NormEstimate
+from .bohr import NormEstimate, _ascend
 from .double import DoubleDirichletSeries
 from .series import DirichletSeries, _parts
 
-
-def _line_values(D: DirichletSeries, sigma: float, taus: np.ndarray) -> np.ndarray:
-    """|D(sigma + i tau)| for an array of heights, vectorized."""
-    ns = np.array(sorted(D.terms), dtype=float)
-    if len(ns) == 0:
-        return np.zeros_like(taus)
-    cs = np.array([D.terms[int(n)] for n in ns])
-    logn = np.log(ns)
-    weights = cs * np.exp(-sigma * logn)
-    return np.abs(np.exp(-1j * np.outer(taus, logn)) @ weights)
+# the ascent runs from this many of the best grid points, for one and for
+# two variables
+_GRID_STARTS = (1, 32)
+# a grid is refined until no two neighbours are further apart than a quarter
+# of the shortest period (pi / 2 over the largest frequency), up to this many
+# times the points per axis that the sample count gives
+_MAX_REFINE = 8
 
 
-def _line_values2(D: DoubleDirichletSeries, sig: tuple[float, float],
-                  tau1: np.ndarray, tau2: np.ndarray) -> np.ndarray:
+def _line_sum(D, sigma):
+    """D on the line(s) Re = sigma as a trigonometric sum in the heights:
+    D(sigma + i tau) = sum_k c_k e^{i <F_k, tau>} with F_k = -ln of the
+    index (one column per variable) and c_k = a_k n_k^{-sigma}."""
     keys = sorted(D.terms)
-    if not keys:
-        return np.zeros((len(tau1), len(tau2)))
-    logm = np.log(np.array([k[0] for k in keys], dtype=float))
-    logn = np.log(np.array([k[1] for k in keys], dtype=float))
-    w = np.array([D.terms[k] for k in keys]) * np.exp(-sig[0] * logm - sig[1] * logn)
-    ph1 = np.exp(-1j * np.outer(tau1, logm))
-    ph2 = np.exp(-1j * np.outer(tau2, logn))
-    return np.abs(np.einsum("ik,jk,k->ij", ph1, ph2, w))
+    indices = np.array([_parts(k) for k in keys], dtype=float)
+    F = -np.log(indices.reshape(len(keys), len(D.truncations)))
+    c = np.array([D.terms[k] for k in keys], dtype=complex) * np.exp(F @ np.array(_parts(sigma)))
+    return F, c
 
 
-def _refine_single(D, sigma, tau0, span):
-    res = minimize_scalar(
-        lambda tau: -float(_line_values(D, sigma, np.array([tau]))[0]),
-        bounds=(tau0 - span, tau0 + span),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(-res.fun), float(res.x)
-
-
-def _refine_double(D, sig, x0):
-    def neg(x):
-        return -float(_line_values2(D, sig, np.array([x[0]]), np.array([x[1]]))[0, 0])
-
-    res = minimize(neg, np.asarray(x0, dtype=float), method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-    return float(-res.fun), (float(res.x[0]), float(res.x[1]))
-
-
-def _sup_single(D, sigma, height_range, samples):
-    lo, hi = height_range
-    taus = np.linspace(lo, hi, samples)
-    vals = _line_values(D, sigma, taus)
-    best = int(np.argmax(vals))
-    span = (hi - lo) / max(samples - 1, 1)
-    refined, arg = _refine_single(D, sigma, float(taus[best]), span)
-    if refined >= vals[best]:
-        return refined, arg
-    return float(vals[best]), float(taus[best])
-
-
-def _sup_double(D, sig, height_range, samples):
-    lo, hi = height_range
-    side = max(int(math.isqrt(samples)), 2)
-    t1 = np.linspace(lo, hi, side)
-    t2 = np.linspace(lo, hi, side)
-    grid = _line_values2(D, sig, t1, t2)
-    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    refined, arg = _refine_double(D, sig, (t1[i], t2[j]))
-    if refined >= grid[i, j]:
-        return refined, arg
-    return float(grid[i, j]), (float(t1[i]), float(t2[j]))
+def _refine(D, sigma, starts):
+    """Ascent of |D| on the line(s) Re = sigma from each start (one row of
+    heights each); returns the best value and its heights."""
+    return _ascend(*_line_sum(D, sigma), np.atleast_2d(starts))
 
 
 def _sup(D, sigma, height_range, samples):
-    if isinstance(D, DirichletSeries):
-        return _sup_single(D, sigma, height_range, samples)
-    return _sup_double(D, sigma, height_range, samples)
+    """Grid over the height range (a side x side grid for a double series,
+    refined as _MAX_REFINE says), then the ascent from the best grid points;
+    never below the grid max."""
+    F, c = _line_sum(D, sigma)
+    lo, hi = height_range
+    dims = F.shape[1]
+    side = samples if dims == 1 else max(int(math.isqrt(samples)), 2)
+    fine = math.ceil((hi - lo) * np.abs(F).max(initial=0.0) * 2 / math.pi) + 1
+    side = max(side, min(fine, _MAX_REFINE * side))
+    t = np.linspace(lo, hi, side)
+    phases = np.exp(1j * t[:, None, None] * F)
+    if dims == 1:
+        vals = np.abs(phases[:, :, 0] @ c)
+    else:
+        vals = np.abs((phases[:, :, 0] * c) @ phases[:, :, 1].T).ravel()
+    grid = np.stack(np.meshgrid(*[t] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
+    refined, arg = _ascend(F, c, grid[np.argsort(vals)[-_GRID_STARTS[dims - 1]:]])
+    best = int(np.argmax(vals))
+    if refined >= vals[best]:
+        return refined, arg
+    return float(vals[best]), grid[best]
 
 
 def line_sup_estimate(D, sigma, height_range=(-50.0, 50.0), samples: int = 512) -> NormEstimate:
     """Sampled sup of |D| on the vertical line(s) Re = sigma (a pair of
     abscissas for a double series).
 
-    Grid over the height range plus a local refinement pass from the best
-    grid point; the result is a lower bound on the true line sup.
+    Grid over the height range (refined to a quarter of the shortest period
+    of the series where the sample count leaves it coarser), then a gradient
+    ascent from the best grid points; the result is the larger of the grid
+    max and the ascent, a lower bound on the true line sup.
     """
     if not isinstance(D, (DirichletSeries, DoubleDirichletSeries)):
         raise TypeError("expected a DirichletSeries or DoubleDirichletSeries")
+    if len(_parts(sigma)) != len(D.truncations):
+        raise ValueError("sigma needs one abscissa per variable")
     if min(_parts(sigma)) <= 0:
         raise ValueError("sigma must be positive")
     value, _ = _sup(D, sigma, height_range, samples)
@@ -133,13 +112,9 @@ def sup_monotonicity_check(D, sigmas, etas, samples: int = 512) -> SupMonotonici
     hr = (-50.0, 50.0)
     low_v, _ = _sup(D, sigmas, hr, samples)
     high_v, high_arg = _sup(D, etas, hr, samples)
-    # the eta argmax seeds a second refinement on the sigma line, so a peak
+    # the eta argmax seeds a second ascent on the sigma line, so a peak
     # found at eta is never missed at sigma
-    if isinstance(D, DirichletSeries):
-        cross, _ = _refine_single(D, sigmas, high_arg, 2.0)
-    else:
-        cross, _ = _refine_double(D, tuple(sigmas), high_arg)
-    low_v = max(low_v, cross)
+    low_v = max(low_v, _refine(D, sigmas, high_arg)[0])
     low = NormEstimate(low_v, 0.0, samples, 0, "line-sup-lower")
     high = NormEstimate(high_v, 0.0, samples, 0, "line-sup-lower")
     margin = low.value - high.value
@@ -176,14 +151,13 @@ def three_lines_check(D: DoubleDirichletSeries, sigma1: float, sigma2: float,
     if gamma <= max(eta1, eta2):
         raise ValueError("gamma must exceed both eta values")
     hr = (-50.0, 50.0)
-    mid, mid_arg = _sup_double(D, (eta1, eta2), hr, samples)
+    mid, mid_arg = _sup(D, (eta1, eta2), hr, samples)
     corners = []
     for sig in ((sigma1, sigma2), (sigma1, gamma), (gamma, sigma2), (gamma, gamma)):
-        v, _ = _sup_double(D, sig, hr, samples)
+        v, _ = _sup(D, sig, hr, samples)
         # seed with the middle-line argmax so corner peaks aligned with the
         # middle maximum are not missed
-        cross, _ = _refine_double(D, sig, mid_arg)
-        corners.append(max(v, cross))
+        corners.append(max(v, _refine(D, sig, mid_arg)[0]))
     corners = tuple(corners)
     weights = (
         (1 - theta1) * (1 - theta2),

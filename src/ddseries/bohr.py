@@ -65,6 +65,9 @@ class DoublePrimePolynomial:
             (pos for ab in self.terms for alpha in ab for pos, _ in alpha), default=0
         )
 
+    def is_zero(self) -> bool:
+        return not self.terms
+
 
 @dataclass(frozen=True)
 class TorusSample:
@@ -156,18 +159,96 @@ def kronecker_sample(t: float, positions: int, seed: int = 0) -> TorusSample:
     )
 
 
-def _exponent_matrix(P: PrimePolynomial):
-    nprimes = P.max_position()
-    alphas = list(P.terms)
-    coeffs = np.array([P.terms[a] for a in alphas], dtype=complex)
-    E = np.zeros((len(alphas), nprimes))
-    for i, alpha in enumerate(alphas):
-        for pos, e in alpha:
-            E[i, pos - 1] = e
-    return E, coeffs, nprimes
+def _exponent_matrix(P):
+    """Exponents as rows of a matrix, one per term: the alpha columns of
+    every prime position in use, then (for a double polynomial) the beta
+    columns."""
+    keys = list(P.terms)
+    axes = list(zip(*keys)) if isinstance(P, DoublePrimePolynomial) else [keys]
+    widths = [max((pos for alpha in axis for pos, _ in alpha), default=0) for axis in axes]
+    E = np.zeros((len(keys), sum(widths)))
+    offset = 0
+    for axis, width in zip(axes, widths):
+        for i, alpha in enumerate(axis):
+            for pos, e in alpha:
+                E[i, offset + pos - 1] = e
+        offset += width
+    coeffs = np.array([P.terms[k] for k in keys], dtype=complex)
+    return E, coeffs, E.shape[1]
 
 
-def _torus_values(D: DirichletSeries, samples: int, seed: int) -> np.ndarray:
+# the ascent runs from this many of the best torus samples, or from fewer
+# when a series is so large that one Hessian (terms x dimensions^2
+# multiply-adds) times the starts would pass _ASCENT_WORK
+_TORUS_STARTS = 64
+_ASCENT_WORK = 1 << 24
+# a start stops when its step is below this, or its damping above the next
+_STEP_TOL = 1e-12
+_MAX_DAMPING = 1e30
+# nor does the damping fall below this share of (sum |c_k| |F_k|^2)(sum |c_k|),
+# a bound on the Hessians: at a maximum where |f| is flat in some direction
+# (fewer terms than dimensions), a smaller one leaves the step's matrix
+# singular to rounding
+_MIN_DAMPING = 1e-10
+# a cap on the steps: most starts stop long before it, but one creeping up
+# a ridge in small steps may not
+_MAX_STEPS = 200
+# starts are climbed in blocks whose Hessian work arrays (starts x terms x
+# dimensions, and starts x dimensions^2) hold at most this many entries
+_BLOCK_ENTRIES = 1 << 21
+
+
+def _trig_sum(F, c, X):
+    """Values of f(x) = sum_k c_k e^{i <F_k, x>} at every row of X (F has
+    one row of frequencies per term), with the gradients and Hessians of
+    |f|^2 there.  F is real, so the Hessian of |f|^2 is
+    2 Re(conj(df) df^T) - 2 F^T diag(Re(conj(f) W)) F for the terms W."""
+    W = np.exp(1j * (X @ F.T)) * c
+    f = W.sum(axis=1)
+    df = 1j * (W @ F)
+    fc = f.conj()
+    r = (fc[:, None] * W).real
+    hess = (df.conj()[:, :, None] * df[:, None, :]).real - (F.T * r[:, None, :]) @ F
+    return f, 2 * (fc[:, None] * df).real, 2 * hess
+
+
+def _ascend(F, c, starts):
+    """Batched Levenberg-Marquardt ascent of |f|^2 from every start, for f
+    as in _trig_sum.  A step is taken only when it raises |f|; the damping
+    then falls tenfold, and otherwise it rises tenfold.  Returns the best
+    |f| reached and where: never less than the best start."""
+    X = np.array(starts, dtype=float)
+    if not F.any():  # f is constant: nothing to climb
+        return float(abs(c.sum())), X[0]
+    size = max(1, _BLOCK_ENTRIES // (F.shape[1] * max(F.shape)))
+    return max((_ascend_block(F, c, X[i:i + size]) for i in range(0, len(X), size)),
+               key=lambda result: result[0])
+
+
+def _ascend_block(F, c, X):
+    f, grad, hess = _trig_sum(F, c, X)
+    floor = _MIN_DAMPING * (np.abs(c) @ (F * F).sum(axis=1)) * np.abs(c).sum()
+    damping = np.full(len(X), max(1e-3, floor))
+    live = np.arange(len(X))
+    eye = np.eye(F.shape[1])
+    for _ in range(_MAX_STEPS):
+        if not live.size:
+            break
+        A = damping[live, None, None] * eye - hess[live]
+        step = np.linalg.solve(A, grad[live, :, None])[..., 0]
+        trial = X[live] + step
+        ft = (np.exp(1j * (trial @ F.T)) * c).sum(axis=1)
+        up = np.abs(ft) > np.abs(f[live])
+        moved = live[up]
+        X[moved], f[moved], grad[moved], hess[moved] = trial[up], *_trig_sum(F, c, trial[up])
+        damping[live] = np.maximum(damping[live] * np.where(up, 0.1, 10.0), floor)
+        done = (np.linalg.norm(step, axis=1) < _STEP_TOL) | (damping[live] > _MAX_DAMPING)
+        live = live[~done]
+    best = int(np.argmax(np.abs(f)))
+    return float(abs(f[best])), X[best]
+
+
+def _torus_values(D, samples: int, seed: int) -> np.ndarray:
     P = lift(D)
     if P.is_zero():
         return np.zeros(samples, dtype=complex)
@@ -177,8 +258,9 @@ def _torus_values(D: DirichletSeries, samples: int, seed: int) -> np.ndarray:
     return np.exp(2j * np.pi * (phases[:, : E.shape[1]] @ E.T)) @ coeffs
 
 
-def hp_norm_estimate(D: DirichletSeries, p: float, samples: int, seed: int) -> NormEstimate:
-    """Monte Carlo estimate of the H^p norm over uniform torus samples.
+def hp_norm_estimate(D, p: float, samples: int, seed: int) -> NormEstimate:
+    """Monte Carlo estimate of the H^p norm over uniform torus samples, for
+    a single or a double series (the torus of its lift).
 
     Deterministic given the seed.  The reported value is the p-th root of
     the sample mean of |Bf|^p; stderr is the moment standard error
@@ -196,30 +278,26 @@ def hp_norm_estimate(D: DirichletSeries, p: float, samples: int, seed: int) -> N
     return NormEstimate(value, stderr, samples, seed, "hp", moment, moment_se)
 
 
-def hinf_norm_estimate(D: DirichletSeries, samples: int, seed: int) -> NormEstimate:
-    """Lower bound on the H^infty norm: torus sampling plus local refinement.
+def hinf_norm_estimate(D, samples: int, seed: int) -> NormEstimate:
+    """Lower bound on the H^infty norm: torus sampling, then a gradient
+    ascent from the best starts.
 
-    The true norm lies between `value` and the attached coefficient-l1
-    bound `upper`.
+    The value is the larger of the best sample and the ascent; the true
+    norm lies between it and the attached coefficient-l1 bound `upper`.
     """
-    from scipy.optimize import minimize
-
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     P = lift(D)
     upper = D.l1_norm()
     if P.is_zero():
         return NormEstimate(0.0, 0.0, samples, seed, "hinf-lower", upper=0.0)
     E, coeffs, nprimes = _exponent_matrix(P)
-    rng = np.random.default_rng(seed)
     if nprimes == 0:  # constant polynomial
-        return NormEstimate(abs(coeffs[0]), 0.0, samples, seed, "hinf-lower", upper=upper)
+        return NormEstimate(float(abs(coeffs[0])), 0.0, samples, seed, "hinf-lower", upper=upper)
+    rng = np.random.default_rng(seed)
     phases = rng.random((samples, nprimes))
     vals = np.abs(np.exp(2j * np.pi * (phases @ E.T)) @ coeffs)
-    best = int(np.argmax(vals))
-
-    def neg_abs(theta):
-        return -abs(np.exp(2j * np.pi * (theta @ E.T)) @ coeffs)
-
-    res = minimize(neg_abs, phases[best], method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-    value = max(float(vals[best]), float(-res.fun))
+    count = min(_TORUS_STARTS, max(1, _ASCENT_WORK // (E.shape[0] * nprimes**2)))
+    starts = phases[np.argsort(vals)[-count:]]
+    value = max(float(vals.max()), _ascend(2 * np.pi * E, coeffs, starts)[0])
     return NormEstimate(value, 0.0, samples, seed, "hinf-lower", upper=upper)

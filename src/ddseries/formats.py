@@ -32,6 +32,19 @@ def _clean_lines(text: str) -> list[str]:
     return out
 
 
+def _fields(kind, words, name: str, line: str) -> tuple:
+    """Words of a line read as kind (int or float); a FormatError that
+    names the field and quotes the line when one is not."""
+    values = []
+    for word in words:
+        try:
+            values.append(kind(word))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise FormatError("%s %r in line %r is not %s" % (name, word, line, what)) from None
+    return tuple(values)
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -87,10 +100,10 @@ def _parse_series_block(lines: list[str]):
             break
         if len(parts) != arity + 2:
             raise FormatError("bad %s term line: %r" % (head[2], lines[i]))
-        index = _key(tuple(int(p) for p in parts[:arity]))
-        terms.append((index, complex(float(parts[-2]), float(parts[-1]))))
+        index = _key(_fields(int, parts[:arity], "index", lines[i]))
+        terms.append((index, complex(*_fields(float, parts[-2:], "coefficient part", lines[i]))))
         i += 1
-    return _make(terms, tuple(int(t) for t in head[3:])), lines[i:]
+    return _make(terms, _fields(int, head[3:], "truncation", lines[0])), lines[i:]
 
 
 def dumps_symbol(sym) -> str:
@@ -119,7 +132,7 @@ def loads_symbol(text: str):
         phis.append(phi)
     if rest:
         raise FormatError("trailing content after symbol")
-    return Symbol(*map(int, head[3:]), *phis)
+    return Symbol(*_fields(int, head[3:], "slope", lines[0]), *phis)
 
 
 def _fmt_alpha(alpha) -> str:
@@ -128,15 +141,19 @@ def _fmt_alpha(alpha) -> str:
     return ",".join("%d:%d" % (pos, e) for pos, e in alpha)
 
 
-def _parse_alpha(text: str):
+def _parse_alpha(text: str, line: str):
     """A multi-index: positions from 1 on, strictly increasing, each with an
     exponent >= 1, so that every monomial has exactly one spelling."""
     if text == "-":
         return ()
     alpha = []
     for chunk in text.split(","):
-        pos, e = chunk.split(":")
-        alpha.append((int(pos), int(e)))
+        pos, colon, e = chunk.partition(":")
+        if not colon:
+            raise FormatError("multi-index part %r in line %r is not position:exponent"
+                              % (chunk, line))
+        alpha.append(_fields(int, (pos,), "prime position", line)
+                     + _fields(int, (e,), "exponent", line))
     positions = [pos for pos, _ in alpha]
     if positions[0] < 1 or positions != sorted(set(positions)) or min(e for _, e in alpha) < 1:
         raise FormatError("bad multi-index %r: positions must increase from 1 and "
@@ -169,10 +186,10 @@ def loads_polynomial(text: str):
         parts = line.split()
         if len(parts) != arity + 2:
             raise FormatError("bad polynomial line: %r" % line)
-        key = _key(tuple(map(_parse_alpha, parts[:arity])))
+        key = _key(tuple(_parse_alpha(a, line) for a in parts[:arity]))
         if key in terms:
             raise FormatError("duplicate monomial %r" % " ".join(parts[:arity]))
-        terms[key] = complex(float(parts[-2]), float(parts[-1]))
+        terms[key] = complex(*_fields(float, parts[-2:], "coefficient part", line))
     return (PrimePolynomial, DoublePrimePolynomial)[arity - 1](terms)
 
 

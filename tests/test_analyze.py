@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -14,7 +17,7 @@ from ddseries.analyze import (
     three_lines_check,
 )
 from ddseries.double import embed_single, make_double_series
-from ddseries.series import DirichletSeries, constant_series, make_series
+from ddseries.series import DirichletSeries, constant_series, make_series, zero_series
 
 
 def random_series(rng, max_index=16, n_terms=4):
@@ -65,6 +68,65 @@ class TestLineSup:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             line_sup_estimate(make_series([(2, 1)], 4), 0.0)
+
+    def test_rejects_wrong_number_of_abscissas(self):
+        with pytest.raises(ValueError):
+            line_sup_estimate(make_double_series([((2, 3), 1)], (4, 4)), 0.5)
+
+    def test_zero(self):
+        assert line_sup_estimate(zero_series(8), 0.5).value == 0.0
+        assert line_sup_estimate(make_double_series([], (4, 4)), (1.0, 1.0)).value == 0.0
+
+
+class TestLineSupAscent:
+    """Closed forms: with non-negative coefficients every term is largest
+    in phase at tau = 0, so the sup on Re s = sigma is sum c_n n^{-sigma}.
+    No grid point is at 0, so only the ascent can reach it."""
+
+    def test_nonnegative_coefficients(self):
+        rng = random.Random(4048)
+        for _ in range(50):
+            idx = rng.sample(range(1, 129), rng.randint(2, 64))
+            D = make_series([(n, rng.uniform(0.01, 1.0)) for n in idx], 128)
+            exact = sum(c.real * n**-0.5 for n, c in D.terms.items())
+            assert line_sup_estimate(D, 0.5).value == pytest.approx(exact, rel=1e-9)
+
+    def test_two_variables_peak_at_the_origin(self):
+        rng = random.Random(9)
+        for _ in range(10):
+            pairs = rng.sample([(m, n) for m in range(1, 5) for n in range(1, 5)], rng.randint(2, 8))
+            D = make_double_series([(p, rng.uniform(0.01, 1.0)) for p in pairs], (4, 4))
+            exact = sum(c.real * m**-1.0 * n**-1.5 for (m, n), c in D.terms.items())
+            est = line_sup_estimate(D, (1.0, 1.5), height_range=(-2.3, 2.0), samples=100)
+            assert est.value == pytest.approx(exact, rel=1e-9)
+
+    def test_coarse_two_variable_grid_is_refined(self):
+        """Four samples ask for a 2 x 2 grid 20 apart; the refined grid puts a
+        start near enough to the origin for the ascent to reach it."""
+        rng = random.Random(21)
+        for _ in range(10):
+            pairs = rng.sample([(m, n) for m in range(1, 9) for n in range(1, 9)], 12)
+            D = make_double_series([(p, rng.uniform(0.01, 1.0)) for p in pairs], (8, 8))
+            exact = sum(c.real * (m * n) ** -0.5 for (m, n), c in D.terms.items())
+            est = line_sup_estimate(D, (0.5, 0.5), height_range=(-10.0, 10.0), samples=4)
+            assert est.value == pytest.approx(exact, rel=1e-9)
+
+    def test_single_term_on_two_lines(self):
+        est = line_sup_estimate(make_double_series([((3, 2), 2j)], (4, 4)), (0.5, 2.0))
+        assert est.value == pytest.approx(2 * 3**-0.5 * 2**-2.0, rel=1e-12)
+
+
+def test_import_loads_no_scipy():
+    """Every sup search runs on numpy alone."""
+    import ddseries
+
+    src = os.path.dirname(os.path.dirname(ddseries.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ddseries; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestSupMonotonicity:

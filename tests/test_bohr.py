@@ -5,10 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from ddseries import bohr
 from ddseries.bohr import (
     DoublePrimePolynomial,
     PrimePolynomial,
     TorusSample,
+    _ascend,
+    _exponent_matrix,
     eval_torus,
     hinf_norm_estimate,
     hp_norm_estimate,
@@ -21,8 +24,8 @@ from ddseries.bohr import (
     unlift,
     unlift_double,
 )
-from ddseries.double import make_double_series, mul2
-from ddseries.series import constant_series, evaluate, make_series, mul
+from ddseries.double import embed_single, make_double_series, mul2
+from ddseries.series import constant_series, evaluate, make_series, mul, zero_series
 
 
 def random_series(rng, max_index=32, n_terms=5):
@@ -183,3 +186,131 @@ class TestHinfNorm:
             est = hinf_norm_estimate(D, 500, 5)
             assert est.value <= D.l1_norm() + 1e-9
             assert est.kind == "hinf-lower"
+
+    def test_value_is_a_python_float_in_every_branch(self):
+        for D in (zero_series(4), constant_series(2j, 4), make_series([(2, 1), (3, 1j)], 4)):
+            assert type(hinf_norm_estimate(D, 50, 1).value) is float
+
+    def test_single_term(self):
+        est = hinf_norm_estimate(make_series([(6, 0.5 - 0.5j)], 8), 10, 2)
+        assert abs(est.value - abs(0.5 - 0.5j)) < 1e-12
+
+    def test_zero(self):
+        est = hinf_norm_estimate(zero_series(8), 10, 0)
+        assert est.value == 0.0 and est.upper == 0.0
+
+
+def nonnegative_series(rng, max_index=128, max_terms=64):
+    idx = rng.sample(range(1, max_index + 1), rng.randint(2, max_terms))
+    return make_series([(n, rng.uniform(0.01, 1.0)) for n in idx], max_index)
+
+
+class TestHinfAscent:
+    """Closed forms for the ascent: with non-negative coefficients the
+    torus maximum is at the origin, where every monomial is 1, so the
+    H^infty norm is the coefficient l1 norm."""
+
+    def test_nonnegative_coefficients_reach_l1(self):
+        rng = random.Random(2024)
+        for seed in range(50):
+            D = nonnegative_series(rng)
+            est = hinf_norm_estimate(D, 1000, seed)
+            assert est.value == pytest.approx(D.l1_norm(), rel=1e-9)
+
+    def test_double_nonnegative_coefficients_reach_l1(self):
+        rng = random.Random(7)
+        pairs = rng.sample([(m, n) for m in range(1, 17) for n in range(1, 17)], 12)
+        D = make_double_series([(p, rng.uniform(0.01, 1.0)) for p in pairs], (16, 16))
+        est = hinf_norm_estimate(D, 1000, 3)
+        assert est.value == pytest.approx(D.l1_norm(), rel=1e-9)
+        assert est.upper == pytest.approx(D.l1_norm())
+
+    def test_never_below_the_best_start(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 5):
+            F = rng.integers(-3, 4, (12, d)) * 2 * np.pi
+            c = rng.normal(size=12) + 1j * rng.normal(size=12)
+            starts = rng.random((8, d))
+            best_start = np.abs(np.exp(1j * (starts @ F.T)) @ c).max()
+            value, x = _ascend(F, c, starts)
+            assert value >= best_start * (1 - 1e-12)
+            assert value == pytest.approx(abs(np.exp(1j * (F @ x)) @ c), rel=1e-12)
+
+    def test_maximum_flat_in_most_directions(self):
+        """9 terms on 26 primes with independent exponents: the maximum is
+        ||D||_1, and |f| is flat there in 17 directions.  Without a floor on
+        the damping, the step matrix at this seed turned singular to
+        rounding and the solve raised."""
+        D = make_series([
+            (45, 0.5837425195503572 + 0.9040610623245418j),
+            (50, -0.16581714516182844 + 0.9703153473785562j),
+            (55, 0.604461339868605 - 0.47330307582992415j),
+            (75, -0.9849325219346119 + 0.4003774909430027j),
+            (78, 0.5818848609328267 + 0.9035751342124037j),
+            (101, 0.35774964253190844 - 0.8012467027541443j),
+            (111, 0.32050770800629147 - 0.31540971805711115j),
+            (118, -0.3602819802525006 + 0.9251919172654286j),
+            (122, 0.3635277698453967 - 0.4628738079654373j),
+        ], 128)
+        est = hinf_norm_estimate(D, 1000, 510216028)
+        assert est.value == pytest.approx(D.l1_norm(), rel=1e-9)
+
+    def test_blocks_of_starts_reach_the_same_best(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        F = rng.integers(-3, 4, (20, 4)) * 2 * np.pi
+        c = rng.normal(size=20) + 1j * rng.normal(size=20)
+        starts = rng.random((10, 4))
+        whole = _ascend(F, c, starts)
+        monkeypatch.setattr(bohr, "_BLOCK_ENTRIES", 1)
+        one_by_one = _ascend(F, c, starts)
+        assert one_by_one[0] == whole[0] and list(one_by_one[1]) == list(whole[1])
+
+    def test_large_series_climbs_from_fewer_starts(self, monkeypatch):
+        """Past the work budget (terms x dimensions^2 per start) the ascent
+        runs from fewer of the best samples, and reaches no higher."""
+        seen = []
+        ascend = bohr._ascend
+        monkeypatch.setattr(bohr, "_ascend",
+                            lambda F, c, starts: seen.append(len(starts)) or ascend(F, c, starts))
+        D = make_series([(n, 1.0 + 0.1j * n) for n in range(1, 129)], 128)
+        full = hinf_norm_estimate(D, 1000, 0).value
+        monkeypatch.setattr(bohr, "_ASCENT_WORK", 4 * 128 * 31**2)
+        assert hinf_norm_estimate(D, 1000, 0).value <= full
+        assert seen == [64, 4]
+
+    def test_constant_sum_is_not_climbed(self):
+        value, x = _ascend(np.zeros((1, 3)), np.array([2j]), np.full((4, 3), 0.25))
+        assert value == 2.0 and list(x) == [0.25] * 3
+
+
+class TestDoubleTorusNorms:
+    def test_double_series_on_the_first_axis_matches_its_single_series(self):
+        rng = random.Random(11)
+        for seed in range(5):
+            D = random_series(rng, 32, 6)
+            D2 = embed_single(D)
+            for p in (2.0, 3.0):
+                single = hp_norm_estimate(D, p, 500, seed)
+                double = hp_norm_estimate(D2, p, 500, seed)
+                assert double.value == pytest.approx(single.value, rel=1e-12)
+                assert double.moment_stderr == pytest.approx(single.moment_stderr, rel=1e-9)
+            single = hinf_norm_estimate(D, 300, seed)
+            double = hinf_norm_estimate(D2, 300, seed)
+            assert double.value == pytest.approx(single.value, rel=1e-12)
+            assert double.upper == pytest.approx(single.upper)
+
+    def test_parseval_for_a_double_series(self):
+        D = make_double_series([((1, 1), 1.0), ((2, 3), 0.5j), ((4, 1), -0.25)], (4, 4))
+        est = hp_norm_estimate(D, 2.0, 20000, 4)
+        assert est.moment == pytest.approx(1 + 0.25 + 0.0625, abs=4 * est.moment_stderr)
+
+    def test_exponent_columns_stack_alpha_then_beta(self):
+        # (12, 5): 12 = 2^2 3 on the first axis, 5 = the third prime on the second
+        E, coeffs, width = _exponent_matrix(lift(make_double_series([((12, 5), 1.0)], (12, 5))))
+        assert width == 5
+        assert E.tolist() == [[2, 1, 0, 0, 1]]
+
+    def test_zero_double_series(self):
+        D = make_double_series([], (4, 4))
+        assert hinf_norm_estimate(D, 10, 0).value == 0.0
+        assert hp_norm_estimate(D, 2.0, 10, 0).value == 0.0

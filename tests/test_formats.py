@@ -150,6 +150,23 @@ class TestErrors:
         with pytest.raises(FormatError):
             loads_polynomial("bohr v1 double\n- %s 1.0 0.0\n" % alpha)
 
+    @pytest.mark.parametrize("loads, text, field", [
+        (loads_polynomial, "bohr v1 single\n1 1 0\n", "multi-index part '1'"),
+        (loads_polynomial, "bohr v1 single\n1:x 1 0\n", "exponent 'x'"),
+        (loads_polynomial, "bohr v1 double\n- y:1 1 0\n", "prime position 'y'"),
+        (loads_polynomial, "bohr v1 single\n1:1 1 zero\n", "coefficient part 'zero'"),
+        (loads_symbol, "symbol v1 single x\ndirichlet v1 single 4\n1 1 0\n", "slope 'x'"),
+        (loads_series, "dirichlet v1 single 4x\n1 1 0\n", "truncation '4x'"),
+        (loads_series, "dirichlet v1 double 4 4\n2 b 1 0\n", "index 'b'"),
+        (loads_series, "dirichlet v1 single 4\n2 nope 0.0\n", "coefficient part 'nope'"),
+    ])
+    def test_bad_field_is_named_with_its_line(self, loads, text, field):
+        with pytest.raises(FormatError) as exc:
+            loads(text)
+        line = text.splitlines()[0 if field.split()[0] in ("slope", "truncation") else 1]
+        assert str(exc.value).startswith(field)
+        assert repr(line) in str(exc.value)
+
 
 class TestReportLines:
     def test_check_line(self):

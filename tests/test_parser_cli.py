@@ -280,6 +280,25 @@ class TestCliCommands:
         src.write_text("dirichlet v1 single 4\n2 nope 0.0\n")
         assert main(["eval", "--in", str(src), "--s", "1"]) == 2
 
+    def test_multi_index_without_colon_names_the_field(self, tmp_path, capsys):
+        src = tmp_path / "p.txt"
+        src.write_text("bohr v1 single\n1 1 0\n")
+        assert main(["unlift", "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: multi-index part '1' in line '1 1 0' is not position:exponent\n")
+
+    def test_non_integer_slope_names_the_field(self, tmp_path, capsys):
+        sym = tmp_path / "sym.txt"
+        sym.write_text("symbol v1 single x\ndirichlet v1 single 4\n1 1.0 0.0\n")
+        src = tmp_path / "d.txt"
+        src.write_text("2^-s")
+        assert main(["compose", "--in", str(src), "--symbol", str(sym)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: slope 'x' in line 'symbol v1 single x' is not an integer\n"
+
     def test_missing_file(self):
         assert main(["eval", "--in", "/nonexistent/file", "--s", "1"]) == 2
 
