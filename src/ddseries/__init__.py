@@ -71,15 +71,27 @@ from .superpose import (
     superpose_entire,
     young_bound_verify,
 )
-from .analyze import (
-    coefficient_bound_check,
-    coefficient_extract,
-    line_sup_estimate,
-    semigroup_identify,
-    series_evaluator,
-    sup_monotonicity_check,
-    three_lines_check,
-)
 from .parser import ParseError, parse_expression, print_expression
 
 __version__ = "0.1.0"
+
+# The numerical verifiers load numpy, which the algebra never needs: they
+# are bound on first access (PEP 562), all seven at once.
+_ANALYZE = (
+    "coefficient_bound_check",
+    "coefficient_extract",
+    "line_sup_estimate",
+    "semigroup_identify",
+    "series_evaluator",
+    "sup_monotonicity_check",
+    "three_lines_check",
+)
+
+
+def __getattr__(name):
+    if name not in _ANALYZE:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import analyze
+
+    globals().update((n, getattr(analyze, n)) for n in _ANALYZE)
+    return globals()[name]

@@ -5,14 +5,16 @@ A multi-index is a tuple of (prime position, exponent) pairs with positions
 strictly increasing (1-based: position 1 is the prime 2).  The lift sends
 the index n = prod p_j^{alpha_j} to the monomial z^alpha; it is an exact
 bijection on supports and an algebra isomorphism.
+
+The lift and its inverse are exact integer work; only the torus functions
+compute numerically, and each imports numpy itself, so that the algebra
+never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .double import _make
 from .factor import _prime_at, _prime_position, factorize
@@ -128,8 +130,16 @@ def unlift_double(P, truncations=None):
     return unlift(P, truncations)
 
 
-def eval_point(P: PrimePolynomial, z) -> complex:
-    """Evaluate at a point of the polydisc, z indexed by prime position - 1."""
+def eval_torus(P: PrimePolynomial, sample: TorusSample) -> complex:
+    """Evaluate at z_j = exp(2 pi i theta_j)."""
+    import numpy as np
+
+    if len(sample.phases) < P.max_position():
+        raise ValueError(
+            "sample has %d phases, polynomial uses %d primes"
+            % (len(sample.phases), P.max_position())
+        )
+    z = [np.exp(2j * np.pi * th) for th in sample.phases]
     total = 0j
     for alpha, c in P.terms.items():
         v = c
@@ -137,17 +147,6 @@ def eval_point(P: PrimePolynomial, z) -> complex:
             v *= z[pos - 1] ** e
         total += v
     return total
-
-
-def eval_torus(P: PrimePolynomial, sample: TorusSample) -> complex:
-    """Evaluate at z_j = exp(2 pi i theta_j)."""
-    if len(sample.phases) < P.max_position():
-        raise ValueError(
-            "sample has %d phases, polynomial uses %d primes"
-            % (len(sample.phases), P.max_position())
-        )
-    z = [np.exp(2j * np.pi * th) for th in sample.phases]
-    return eval_point(P, z)
 
 
 def kronecker_sample(t: float, positions: int, seed: int = 0) -> TorusSample:
@@ -163,6 +162,8 @@ def _exponent_matrix(P):
     """Exponents as rows of a matrix, one per term: the alpha columns of
     every prime position in use, then (for a double polynomial) the beta
     columns."""
+    import numpy as np
+
     keys = list(P.terms)
     axes = list(zip(*keys)) if isinstance(P, DoublePrimePolynomial) else [keys]
     widths = [max((pos for alpha in axis for pos, _ in alpha), default=0) for axis in axes]
@@ -203,6 +204,8 @@ def _trig_sum(F, c, X):
     one row of frequencies per term), with the gradients and Hessians of
     |f|^2 there.  F is real, so the Hessian of |f|^2 is
     2 Re(conj(df) df^T) - 2 F^T diag(Re(conj(f) W)) F for the terms W."""
+    import numpy as np
+
     W = np.exp(1j * (X @ F.T)) * c
     f = W.sum(axis=1)
     df = 1j * (W @ F)
@@ -217,6 +220,8 @@ def _ascend(F, c, starts):
     as in _trig_sum.  A step is taken only when it raises |f|; the damping
     then falls tenfold, and otherwise it rises tenfold.  Returns the best
     |f| reached and where: never less than the best start."""
+    import numpy as np
+
     X = np.array(starts, dtype=float)
     if not F.any():  # f is constant: nothing to climb
         return float(abs(c.sum())), X[0]
@@ -226,6 +231,8 @@ def _ascend(F, c, starts):
 
 
 def _ascend_block(F, c, X):
+    import numpy as np
+
     f, grad, hess = _trig_sum(F, c, X)
     floor = _MIN_DAMPING * (np.abs(c) @ (F * F).sum(axis=1)) * np.abs(c).sum()
     damping = np.full(len(X), max(1e-3, floor))
@@ -248,7 +255,9 @@ def _ascend_block(F, c, X):
     return float(abs(f[best])), X[best]
 
 
-def _torus_values(D, samples: int, seed: int) -> np.ndarray:
+def _torus_values(D, samples: int, seed: int):
+    import numpy as np
+
     P = lift(D)
     if P.is_zero():
         return np.zeros(samples, dtype=complex)
@@ -266,6 +275,8 @@ def hp_norm_estimate(D, p: float, samples: int, seed: int) -> NormEstimate:
     the sample mean of |Bf|^p; stderr is the moment standard error
     propagated to the norm by the delta method.
     """
+    import numpy as np
+
     if not 1 <= p < math.inf:  # NaN fails too
         raise ValueError("hp_norm_estimate requires a finite p >= 1")
     if samples < 1:
@@ -285,6 +296,8 @@ def hinf_norm_estimate(D, samples: int, seed: int) -> NormEstimate:
     The value is the larger of the best sample and the ascent; the true
     norm lies between it and the attached coefficient-l1 bound `upper`.
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     P = lift(D)

@@ -5,6 +5,10 @@ the grammar of the parser module (sniffed by the first word).  Commands
 stream stdin -> stdout when --in/--out are omitted; randomized commands
 require an explicit --seed.  Exit codes: 0 pass, 1 check failure, 2 usage
 or input error.
+
+Only `norm`, `coeff`, `check-young`, `check-suplines` and `selftest`
+compute numerically, and only they load numpy: the verifier and
+acceptance modules are imported inside the handlers that use them.
 """
 
 from __future__ import annotations
@@ -13,16 +17,8 @@ import argparse
 import cmath
 import sys
 
-from . import acceptance
-from .analyze import (
-    SemigroupError,
-    coefficient_extract,
-    series_evaluator,
-    sup_monotonicity_check,
-)
 from .bohr import DoublePrimePolynomial, hinf_norm_estimate, hp_norm_estimate, lift, unlift
 from .compose import (
-    SymbolRecoveryError,
     apply,
     compactness_check,
     recover_symbol,
@@ -30,7 +26,6 @@ from .compose import (
 )
 from .double import DoubleDirichletSeries, embed_single, evaluate2, mul2
 from .formats import (
-    FormatError,
     check_line,
     dumps_polynomial,
     dumps_series,
@@ -41,13 +36,26 @@ from .formats import (
     norm_estimate_line,
 )
 from .grids import halfplane_grid, halfplane_grid2, boundary_grid2
-from .parser import ParseError, parse_expression
+from .parser import parse_expression
 from .series import DirichletSeries, evaluate, mul
 from .superpose import young_bound_verify
 
 
+# --samples and --panels size arrays with this many rows (each as long as
+# the series has terms); a larger value is refused before any is allocated
+MAX_POINTS = 10**6
+
+
 class UsageError(ValueError):
     pass
+
+
+def _count(text: str) -> int:
+    """An integer flag that sizes an array: at most MAX_POINTS."""
+    n = int(text)
+    if n > MAX_POINTS:
+        raise argparse.ArgumentTypeError("%d is above the ceiling %d" % (n, MAX_POINTS))
+    return n
 
 
 def _read(path: str | None) -> str:
@@ -158,6 +166,8 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
+    from .analyze import coefficient_extract, series_evaluator
+
     D = _read_single(args.infile, args)
     ev = series_evaluator(D)
     got = coefficient_extract(
@@ -203,6 +213,8 @@ def _cmd_check_young(args) -> int:
 
 
 def _cmd_check_suplines(args) -> int:
+    from .analyze import sup_monotonicity_check
+
     D = _read_single(args.infile, args)
     rep = sup_monotonicity_check(D, args.sigma, args.eta)
     margin = rep.lower_sup.value - rep.upper_sup.value
@@ -216,6 +228,8 @@ def _cmd_check_suplines(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance
+
     names = args.only.split(",") if args.only else None
     try:
         results = acceptance.run_all(names)
@@ -256,11 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", help="second series file")
     p.set_defaults(fn=_cmd_mul)
 
-    for name in ("compose", "compose2"):
-        p = sub.add_parser(name, help="apply a one- or two-variable symbol")
-        _add_io(p)
-        p.add_argument("--symbol", required=True, help="symbol file")
-        p.set_defaults(fn=_cmd_compose)
+    p = sub.add_parser("compose", help="apply a one- or two-variable symbol")
+    _add_io(p)
+    p.add_argument("--symbol", required=True, help="symbol file")
+    p.set_defaults(fn=_cmd_compose)
 
     p = sub.add_parser("lift", help="Bohr lift to a prime polynomial")
     _add_io(p)
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="Monte Carlo H^p norm estimate")
     _add_io(p)
     p.add_argument("--p", required=True, help="exponent >= 1, or 'inf'")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_count, default=100_000, help="at most 10^6")
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(fn=_cmd_norm)
 
@@ -288,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--T", type=float, default=1e4)
     p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--panels", type=int, default=200_000)
+    p.add_argument("--panels", type=_count, default=200_000, help="at most 10^6")
     p.set_defaults(fn=_cmd_coeff)
 
     p = sub.add_parser("check-symbol", help="sampled range check of a symbol")
@@ -308,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_count, default=10_000, help="at most 10^6")
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(fn=_cmd_check_young)
 
@@ -335,8 +348,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ParseError, FormatError, SymbolRecoveryError, SemigroupError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every input error of the package is a ValueError
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

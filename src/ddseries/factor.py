@@ -3,9 +3,11 @@ coefficient formulas of the monomial-power expansion.
 
 Everything here is exact integer arithmetic.  The smallest-prime-factor
 sieve grows on demand, at least doubling each time, and the list of primes
-read off it is the table behind the prime positions of the Bohr lift; all
-enumeration functions impose a canonical ordering on the parts so that
-results are duplicate-free and deterministic.
+read off it is the table behind the prime positions of the Bohr lift.  The
+table stops at _PRIME_CAP = 2^20 (the 82,025 primes below 1,048,576): a
+prime or a prime position beyond it raises ValueError instead of growing
+the sieve without bound.  All enumeration functions impose a canonical
+ordering on the parts so that results are duplicate-free and deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from itertools import product
 
 # factorize sieves up to this bound and trial-divides beyond it
 _SIEVE_BOUND = 10**6
+# the sieve never grows past this many entries, the power of two above
+# _SIEVE_BOUND, so the prime table holds exactly the primes below it
+_PRIME_CAP = 1 << 20
 # smallest prime factor of every i < len(_spf), and the primes below
 # len(_spf) in increasing order: the package's one prime table
 _spf: list[int] = []
@@ -25,11 +30,11 @@ _primes: list[int] = []
 
 def _ensure_sieve(bound: int) -> None:
     """Grow the sieve to the power of two above bound + 1, so that it at
-    least doubles whenever it grows."""
+    least doubles whenever it grows; bound must lie below _PRIME_CAP."""
     global _spf, _primes
     if bound < len(_spf):
         return
-    size = 1 << (bound + 1).bit_length()
+    size = min(1 << (bound + 1).bit_length(), _PRIME_CAP)
     spf = list(range(size))
     for p in range(2, math.isqrt(size - 1) + 1):
         if spf[p] == p:  # p is prime
@@ -43,12 +48,17 @@ def _ensure_sieve(bound: int) -> None:
 def _prime_at(position: int) -> int:
     """The prime at the given 1-based position."""
     while len(_primes) < position:
+        if len(_spf) == _PRIME_CAP:
+            raise ValueError("prime position %d is beyond the prime table (the %d primes "
+                             "below 2^20)" % (position, len(_primes)))
         _ensure_sieve(len(_spf))
     return _primes[position - 1]
 
 
 def _prime_position(p: int) -> int:
-    """The 1-based position of the prime p; grows the sieve to p, past _SIEVE_BOUND too."""
+    """The 1-based position of the prime p; grows the sieve to p, up to _PRIME_CAP."""
+    if p >= _PRIME_CAP:
+        raise ValueError("prime %d is beyond the prime table (primes below 2^20)" % p)
     _ensure_sieve(p)
     i = bisect_left(_primes, p)
     if i == len(_primes) or _primes[i] != p:

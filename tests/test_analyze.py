@@ -1,8 +1,5 @@
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -18,6 +15,8 @@ from ddseries.analyze import (
 )
 from ddseries.double import embed_single, make_double_series
 from ddseries.series import DirichletSeries, constant_series, make_series, zero_series
+
+from fresh_process import run_fresh
 
 
 def random_series(rng, max_index=16, n_terms=4):
@@ -118,15 +117,7 @@ class TestLineSupAscent:
 
 def test_import_loads_no_scipy():
     """Every sup search runs on numpy alone."""
-    import ddseries
-
-    src = os.path.dirname(os.path.dirname(ddseries.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, ddseries; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert run_fresh("import sys, ddseries; print('scipy' in sys.modules)") == "False"
 
 
 class TestSupMonotonicity:

@@ -176,3 +176,15 @@ class TestPrimeTable:
     def test_prime_position_must_be_positive(self):
         with pytest.raises(ValueError):
             prime(0)
+
+    def test_table_stops_below_two_to_the_twenty(self):
+        """The sieve stops at 2^20 entries, 82,025 primes: a prime or a
+        position past them raises ValueError."""
+        assert prime(82025) == 1048573
+        assert index_to_multiindex(1048573) == ((82025, 1),)
+        with pytest.raises(ValueError, match="beyond the prime table"):
+            prime(82026)
+        with pytest.raises(ValueError, match="beyond the prime table"):
+            index_to_multiindex(1048583)
+        with pytest.raises(ValueError, match="beyond the prime table"):
+            index_to_multiindex(1000000007)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ddseries.cli import build_parser, main
+from ddseries.cli import MAX_POINTS, build_parser, main
 from ddseries.double import DoubleDirichletSeries, make_double_series
 from ddseries.formats import dumps_series, dumps_symbol, loads_series
 from ddseries.compose import Symbol
@@ -319,3 +319,55 @@ class TestCliCommands:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "bohr v1 single\n78498:1 1.0 0.0\n"
+
+
+# the flags that size an array, each last so that a value can follow
+SIZING_FLAGS = [
+    ["norm", "--p", "2", "--seed", "1", "--samples"],
+    ["check-young", "--k", "2", "--p", "4", "--q", "2", "--seed", "1", "--samples"],
+    ["coeff", "--j", "2", "--panels"],
+]
+
+
+class TestCliLimits:
+    """Inputs that would size a table or an array past what a process can
+    hold exit 2 with one error line, before anything is allocated."""
+
+    def test_lift_of_a_prime_beyond_the_table(self, tmp_path, capsys):
+        src = tmp_path / "d.txt"
+        src.write_text("1000000007^-s")
+        assert main(["lift", "--in", str(src), "--trunc", "2000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: prime 1000000007 is beyond the prime table (primes below 2^20)\n")
+
+    def test_unlift_of_a_position_beyond_the_table(self, tmp_path, capsys):
+        src = tmp_path / "p.txt"
+        src.write_text("bohr v1 single\n82026:1 1.0 0.0\n")
+        assert main(["unlift", "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: prime position 82026 is beyond the prime table")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", SIZING_FLAGS)
+    def test_sizing_flag_above_its_ceiling(self, tmp_path, capsys, argv):
+        src = tmp_path / "d.txt"
+        src.write_text("1 + 2^-s")
+        assert main(argv + [str(10**12), "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(
+            ": %d is above the ceiling %d" % (10**12, MAX_POINTS))
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", SIZING_FLAGS)
+    def test_sizing_flag_at_its_ceiling_parses(self, argv):
+        args = build_parser().parse_args(argv + [str(MAX_POINTS)])
+        assert MAX_POINTS in vars(args).values()
+
+    def test_compose2_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["compose2", "--symbol", "sym.txt"])
