@@ -107,8 +107,8 @@ def sup_monotonicity_check(D, sigmas, etas, samples: int = 512) -> SupMonotonici
     hold; strictness is certified only when the margin exceeds the
     combined refinement slack (both sups are lower bounds).
     """
-    if not all(0 < s < e for s, e in zip(_parts(sigmas), _parts(etas))):
-        raise ValueError("need 0 < sigma < eta, componentwise for a double series")
+    if not all(0 < s < e < math.inf for s, e in zip(_parts(sigmas), _parts(etas))):
+        raise ValueError("need 0 < sigma < eta < inf, componentwise for a double series")
     hr = (-50.0, 50.0)
     low_v, _ = _sup(D, sigmas, hr, samples)
     high_v, high_arg = _sup(D, etas, hr, samples)

@@ -156,7 +156,7 @@ def _cmd_recover_symbol(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    D = _read_single(args.infile, args)
+    D = _read_series(args.infile, args.trunc)
     if args.p == "inf":
         est = hinf_norm_estimate(D, args.samples, args.seed)
     else:

@@ -1,13 +1,13 @@
 """Integer factorization and the factorization enumerations feeding the
 coefficient formulas of the monomial-power expansion.
 
-Everything here is exact integer arithmetic.  The smallest-prime-factor
-sieve grows on demand, at least doubling each time, and the list of primes
-read off it is the table behind the prime positions of the Bohr lift.  The
-table stops at _PRIME_CAP = 2^20 (the 82,025 primes below 1,048,576): a
-prime or a prime position beyond it raises ValueError instead of growing
-the sieve without bound.  All enumeration functions impose a canonical
-ordering on the parts so that results are duplicate-free and deterministic.
+Everything here is exact integer arithmetic.  One bytearray sieve of
+Eratosthenes, grown on demand up to _PRIME_CAP = 2^20, lists the primes
+that factorize divides by and that number the Bohr lift's variables.  A
+prime or a prime position past the 82,025 primes below 2^20 raises
+ValueError, as does a cofactor of 2^40 or more that no listed prime
+divides.  All enumeration functions impose a canonical ordering on the
+parts so that results are duplicate-free and deterministic.
 """
 
 from __future__ import annotations
@@ -15,43 +15,42 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 
-# factorize sieves up to this bound and trial-divides beyond it
-_SIEVE_BOUND = 10**6
-# the sieve never grows past this many entries, the power of two above
-# _SIEVE_BOUND, so the prime table holds exactly the primes below it
+# the sieve stops at this many entries: the table is the _PRIME_COUNT primes below it
 _PRIME_CAP = 1 << 20
-# smallest prime factor of every i < len(_spf), and the primes below
-# len(_spf) in increasing order: the package's one prime table
-_spf: list[int] = []
+_PRIME_COUNT = 82025
+# a cofactor with no listed prime factor is prime only below _PRIME_CAP^2
+_COFACTOR_CAP = _PRIME_CAP * _PRIME_CAP
+# _sieve[i] is 1 exactly when i is prime, for i < len(_sieve); _primes
+# lists those i in increasing order
+_sieve = bytearray()
 _primes: list[int] = []
 
 
 def _ensure_sieve(bound: int) -> None:
-    """Grow the sieve to the power of two above bound + 1, so that it at
-    least doubles whenever it grows; bound must lie below _PRIME_CAP."""
-    global _spf, _primes
-    if bound < len(_spf):
+    """Sieve past bound, to the power of two above bound + 1 (so that the
+    sieve at least doubles whenever it grows), but never past _PRIME_CAP."""
+    global _sieve, _primes
+    if bound < len(_sieve) or len(_sieve) == _PRIME_CAP:
         return
     size = min(1 << (bound + 1).bit_length(), _PRIME_CAP)
-    spf = list(range(size))
+    sieve = bytearray([0, 0]) + bytearray([1]) * (size - 2)
     for p in range(2, math.isqrt(size - 1) + 1):
-        if spf[p] == p:  # p is prime
-            for q in range(p * p, size, p):
-                if spf[q] == q:
-                    spf[q] = p
-    _spf = spf
-    _primes = [p for p in range(2, size) if spf[p] == p]
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, size, p)))
+    _sieve = sieve
+    _primes = list(compress(range(size), sieve))
 
 
 def _prime_at(position: int) -> int:
     """The prime at the given 1-based position."""
-    while len(_primes) < position:
-        if len(_spf) == _PRIME_CAP:
-            raise ValueError("prime position %d is beyond the prime table (the %d primes "
-                             "below 2^20)" % (position, len(_primes)))
-        _ensure_sieve(len(_spf))
+    if position > _PRIME_COUNT:
+        raise ValueError("prime position %d is beyond the prime table (the %d primes "
+                         "below 2^20)" % (position, _PRIME_COUNT))
+    if position > len(_primes):  # Rosser (1941): p_n < n (ln n + ln ln n) for n >= 6
+        n = max(position, 6)
+        _ensure_sieve(int(n * (math.log(n) + math.log(math.log(n)))) + 1)
     return _primes[position - 1]
 
 
@@ -60,46 +59,41 @@ def _prime_position(p: int) -> int:
     if p >= _PRIME_CAP:
         raise ValueError("prime %d is beyond the prime table (primes below 2^20)" % p)
     _ensure_sieve(p)
-    i = bisect_left(_primes, p)
-    if i == len(_primes) or _primes[i] != p:
+    if not _sieve[p]:
         raise ValueError("%d is not prime" % p)
-    return i + 1
+    return bisect_left(_primes, p) + 1
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Canonical prime factorization of n >= 1, primes increasing.
 
-    Returns [] for n == 1.
+    Returns [] for n == 1.  Trial division by the prime table: a cofactor
+    left below 2^40 is prime, and a larger one raises ValueError.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1, got %r" % (n,))
-    if n <= _SIEVE_BOUND:
-        _ensure_sieve(n)
-    out = []
-    m = n
-    while m > 1:
-        if m < len(_spf):
-            p = _spf[m]
-        else:
-            p = _trial_factor(m)
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    out.sort()
+    _ensure_sieve(math.isqrt(n))
+    sieve, size = _sieve, len(_sieve)
+    if n < size and sieve[n]:
+        return [(n, 1)]
+    out, m = [], n
+    for p in _primes:
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+            if m < size and sieve[m]:  # the cofactor is a listed prime
+                break
+    if m >= _COFACTOR_CAP:
+        raise ValueError("cannot factor %d: its cofactor %d has no prime factor in the "
+                         "prime table (primes below 2^20) and is not below 2^40" % (n, m))
+    if m > 1:
+        out.append((m, 1))
     return out
-
-
-def _trial_factor(m: int) -> int:
-    if m % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return f
-        f += 2
-    return m
 
 
 def divisors(n: int) -> list[int]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddseries import factor
 from ddseries.bohr import (
     DoublePrimePolynomial,
     PrimePolynomial,
@@ -27,6 +28,7 @@ from ddseries.formats import (
     loads_symbol,
 )
 from ddseries.series import DirichletSeries, make_series, mul
+from fresh_process import run_fresh
 
 N, M = 512, 24
 ROUND_TRIPS = settings(max_examples=80, deadline=None)
@@ -188,3 +190,20 @@ class TestPrimeTable:
             index_to_multiindex(1048583)
         with pytest.raises(ValueError, match="beyond the prime table"):
             index_to_multiindex(1000000007)
+
+    @pytest.mark.parametrize("position, p", [
+        (1, 2), (5, 11), (6, 13), (7, 17), (1000, 7919), (10000, 104729), (82025, 1048573),
+    ])
+    def test_position_read_off_an_empty_table(self, monkeypatch, position, p):
+        """The sieve that _prime_at grows from nothing, sized by Rosser's
+        bound on the n-th prime, reaches the prime at that position."""
+        monkeypatch.setattr(factor, "_sieve", bytearray())
+        monkeypatch.setattr(factor, "_primes", [])
+        assert prime(position) == p
+
+    def test_refusal_past_the_table_sieves_nothing(self):
+        """A position past the 82,025 primes is refused from their stored
+        count, before the sieve grows to list them."""
+        code = ("from ddseries import factor\n"
+                "try:\n    factor._prime_at(82026)\nexcept ValueError:\n    print(len(factor._primes))")
+        assert int(run_fresh(code)) < 1000

@@ -1,6 +1,10 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddseries.factor import (
     divisors,
@@ -30,6 +34,37 @@ def brute_mult_factorizations(M):
 
     walk(M, 2, [])
     return out
+
+
+def brute_factorize(n):
+    """Independent oracle: trial division by every integer from 2 up, in
+    numpy blocks, for n below 2^63."""
+    out, d = [], 2
+    while d * d <= n:
+        block = np.arange(d, min(d + (1 << 16), math.isqrt(n) + 1), dtype=np.int64)
+        hits = block[n % block == 0]
+        if not len(hits):
+            d = int(block[-1]) + 1
+            continue
+        p, e = int(hits[0]), 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+        d = p + 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+# primes whose powers lie near 2^20: the largest below it (1048573), the
+# largest below its square, cube and fourth root, and 2
+_NEAR_CAP = st.sampled_from([(1048573, 1), (1021, 2), (101, 3), (31, 4), (2, 20), (2, 19)])
+# cofactors between 2^20 and 2^40: any integer there, or the first prime
+# above 2^20 (1048583), the last below 2^40 (2^40 - 87) or 10^9 + 7
+_COFACTOR = st.one_of(st.integers(1 << 20, 1 << 40),
+                      st.sampled_from([1048583, 1000000007, 1099511627689]))
+_TABLE_PRODUCT = st.integers(1, 1 << 20)
 
 
 def brute_pair_factorizations(M, N):
@@ -81,6 +116,33 @@ class TestFactorize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+
+class TestFactorizeAgainstTrialDivision:
+    """factorize divides by the primes below 2^20, and a cofactor below
+    2^40 left after them is prime."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        st.tuples(_NEAR_CAP, _TABLE_PRODUCT).map(lambda t: t[0][0] ** t[0][1] * t[1]),
+        st.tuples(_TABLE_PRODUCT, _TABLE_PRODUCT).map(lambda t: t[0] * t[1]),
+        st.tuples(_TABLE_PRODUCT, _COFACTOR).map(lambda t: t[0] * t[1]),
+    ))
+    def test_matches_brute_force(self, n):
+        assert factorize(n) == brute_factorize(n)
+
+    @pytest.mark.parametrize("n", [
+        1048583**2,                    # the square of the first prime past the table
+        2 * 1048583 * 1048589,         # two primes past the table, times a listed one
+        (1 << 40) + 15,                # a prime above 2^40
+        10**18 + 3,
+    ])
+    def test_cofactor_above_two_to_the_forty_raises(self, n):
+        with pytest.raises(ValueError, match="prime table"):
+            factorize(n)
+
+    def test_cofactor_just_below_two_to_the_forty_is_prime(self):
+        assert factorize(3 * 1099511627689) == [(3, 1), (1099511627689, 1)]
 
 
 class TestDivisors:

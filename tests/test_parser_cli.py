@@ -198,6 +198,23 @@ class TestCliCommands:
         assert abs(rec["value"] - math.sqrt(2)) < 0.02
         assert rec["seed"] == 7
 
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_norm_of_a_double_series_on_the_first_axis(self, tmp_path, capsys, p):
+        """A double series whose terms all have n = 1 is its first-axis
+        single series: the same estimate at the same seed."""
+        single, double = tmp_path / "d1.txt", tmp_path / "d2.txt"
+        single.write_text("dirichlet v1 single 16\n1 1.0 0.0\n2 0.5 0.25\n3 -0.25 0.0\n"
+                          "12 0.125 0.0\n")
+        double.write_text("dirichlet v1 double 16 4\n1 1 1.0 0.0\n2 1 0.5 0.25\n"
+                          "3 1 -0.25 0.0\n12 1 0.125 0.0\n")
+        outs = []
+        for src in (single, double):
+            argv = ["norm", "--in", str(src), "--p", p, "--samples", "2000", "--seed", "5"]
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[1])["samples"] == 2000
+
     def test_norm_requires_seed(self, tmp_path):
         src = tmp_path / "d.txt"
         src.write_text("1 + 2^-s")
@@ -321,6 +338,18 @@ class TestCliCommands:
         assert done.stdout == "bohr v1 single\n78498:1 1.0 0.0\n"
 
 
+# float flags outside the range where their value is used; {sym}, {sym2}
+# and {d} stand for a one-variable symbol, a two-variable one and a series
+FLOAT_FLAGS = [
+    ["check-symbol", "--symbol", "{sym}", "--epsilon", "nan"],
+    ["check-symbol", "--symbol", "{sym}", "--epsilon", "-1"],
+    ["check-compact", "--symbol", "{sym2}", "--min-re", "0"],
+    ["check-compact", "--symbol", "{sym2}", "--min-re", "-1"],
+    ["check-compact", "--symbol", "{sym2}", "--min-re", "nan"],
+    ["check-compact", "--symbol", "{sym2}", "--min-re", "1e300"],
+    ["check-suplines", "--in", "{d}", "--sigma", "0.5", "--eta", "inf"],
+]
+
 # the flags that size an array, each last so that a value can follow
 SIZING_FLAGS = [
     ["norm", "--p", "2", "--seed", "1", "--samples"],
@@ -350,6 +379,39 @@ class TestCliLimits:
         assert captured.out == ""
         assert captured.err.startswith("error: prime position 82026 is beyond the prime table")
         assert captured.err.count("\n") == 1
+
+    def test_lift_of_a_number_beyond_trial_division(self):
+        """10^18 + 3 has no prime factor below 2^20 and is above 2^40, so
+        the prime table cannot factor it: a cold process says so at once."""
+        import ddseries
+
+        src = os.path.dirname(os.path.dirname(ddseries.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "ddseries.cli", "lift", "--trunc", str(2 * 10**18)],
+            input="1000000000000000003^-s\n", capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=20,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: cannot factor 1000000000000000003")
+        assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", FLOAT_FLAGS)
+    def test_float_flag_out_of_range(self, tmp_path, capsys, argv):
+        texts = {
+            "sym": dumps_symbol(Symbol(0, make_series([(1, 2 + 0j)], 4))),
+            "sym2": "symbol v1 double 1 1 1 0\ndirichlet v1 double 1 1\n1 1 2.0 0.0\n"
+                    "dirichlet v1 double 1 1\n1 1 1.0 0.0\n",
+            "d": "1 + 2^-s",
+        }
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text)
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", SIZING_FLAGS)
     def test_sizing_flag_above_its_ceiling(self, tmp_path, capsys, argv):
