@@ -41,11 +41,10 @@ from .compose import (
     compactness_check,
     exp2,
     recover_symbol,
-    scale_double,
 )
 from .double import constant_double, make_double_series, zero_double
 from .grids import boundary_grid2
-from .series import DirichletSeries, _parts, exp_series, log_series, make_series, mul
+from .series import DirichletSeries, _parts, exp_series, log_series, make_series, mul, scale
 from .superpose import young_bound_verify
 
 _PROBE_IMS = (-7.3, -2.1, 0.0, 3.7, 9.4)
@@ -53,12 +52,13 @@ _PROBE_IMS = (-7.3, -2.1, 0.0, 3.7, 9.4)
 
 @dataclass
 class CheckResult:
-    name: str
     passed: bool
     value: float
     tolerance: float
-    elapsed: float = 0.0
     detail: str = ""
+    # set by run_all, which names and times every check
+    name: str = ""
+    elapsed: float = 0.0
 
 
 def _disk(rng, radius: float) -> complex:
@@ -134,10 +134,9 @@ def _random_double_poly(rng, n_terms: int = 8, bound: int = 8):
     return make_double_series([(p, _disk(rng, 1.0)) for p in sorted(pairs)], (bound, bound))
 
 
-def _check_compose(name, seed, symbol, poly, truncation, probes, tol) -> CheckResult:
+def _check_compose(seed, symbol, poly, truncation, probes, tol) -> CheckResult:
     """apply(sym, D) at the probes against sum_k a_k k^{-sym(probe)}, for 50
     random symbols and series of one or of two variables."""
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(50):
@@ -155,32 +154,31 @@ def _check_compose(name, seed, symbol, poly, truncation, probes, tol) -> CheckRe
                 for n, c in G.terms.items()
             )
             worst = max(worst, abs(got - exact))
-    return CheckResult(name, worst <= tol, worst, tol, time.monotonic() - t0)
+    return CheckResult(worst <= tol, worst, tol)
 
 
 def check_compose_single(seed: int = 101) -> CheckResult:
     """Composition against direct pointwise evaluation, one variable."""
-    return _check_compose("compose-single", seed, lambda rng: _random_symbol(rng, decay=3.0),
+    return _check_compose(seed, lambda rng: _random_symbol(rng, decay=3.0),
                           _random_poly, 512, [complex(2.0, v) for v in _PROBE_IMS], 1e-8)
 
 
 def check_compose_double(seed: int = 202) -> CheckResult:
     """Composition against direct pointwise evaluation, two variables."""
     probes = [(complex(2.0, v), complex(2.0, -0.7 * v)) for v in _PROBE_IMS]
-    return _check_compose("compose-double", seed, _random_double_symbol, _random_double_poly,
+    return _check_compose(seed, _random_double_symbol, _random_double_poly,
                           (256, 256), probes, 1e-6)
 
 
 def check_cross_algorithm(seed: int = 303) -> CheckResult:
     """exp2 recurrence route against the factorization-sum oracle."""
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     truncs = (32, 32)
     worst = 0.0
     for _ in range(100):
         phi = _random_double_phi(rng, bound=32, truncs=truncs)
         k = int(rng.integers(2, 7))
-        via_exp = exp2(scale_double(phi, -math.log(k)), truncs)
+        via_exp = exp2(scale(phi, -math.log(k)), truncs)
         via_fact = char_power_via_factorizations(k, phi, truncs)
         keys = set(via_exp.terms) | set(via_fact.terms)
         for key in keys:
@@ -188,11 +186,10 @@ def check_cross_algorithm(seed: int = 303) -> CheckResult:
                 worst, abs(via_exp.terms.get(key, 0j) - via_fact.terms.get(key, 0j))
             )
     tol = 1e-12
-    return CheckResult("cross-algorithm", worst <= tol, worst, tol, time.monotonic() - t0)
+    return CheckResult(worst <= tol, worst, tol)
 
 
 def check_exp_log_roundtrip(seed: int = 404) -> CheckResult:
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
@@ -202,11 +199,10 @@ def check_exp_log_roundtrip(seed: int = 404) -> CheckResult:
         for n in keys:
             worst = max(worst, abs(phi.terms.get(n, 0j) - back.terms.get(n, 0j)))
     tol = 1e-12
-    return CheckResult("exp-log-roundtrip", worst <= tol, worst, tol, time.monotonic() - t0)
+    return CheckResult(worst <= tol, worst, tol)
 
 
 def check_symbol_recovery(seed: int = 505) -> CheckResult:
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     worst = 0.0
     ok = True
@@ -221,10 +217,7 @@ def check_symbol_recovery(seed: int = 505) -> CheckResult:
         for n, c in sym.phi.terms.items():
             worst = max(worst, abs(rec.phi.terms.get(n, 0j) - c))
     tol = 1e-9
-    return CheckResult(
-        "symbol-recovery", ok and worst <= tol, worst, tol, time.monotonic() - t0,
-        "" if ok else "c0 mismatch",
-    )
+    return CheckResult(ok and worst <= tol, worst, tol, "" if ok else "c0 mismatch")
 
 
 def _poly_product(f: PrimePolynomial, g: PrimePolynomial) -> PrimePolynomial:
@@ -242,7 +235,6 @@ def _poly_product(f: PrimePolynomial, g: PrimePolynomial) -> PrimePolynomial:
 
 def check_bohr_isomorphism(seed: int = 606) -> CheckResult:
     """Lift/unlift bijection, multiplicativity and operator commutation."""
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     worst_mult = 0.0
     exact_ok = True
@@ -270,14 +262,13 @@ def check_bohr_isomorphism(seed: int = 606) -> CheckResult:
     passed = exact_ok and worst_mult <= 1e-13 and worst_comm <= 1e-8
     value = max(worst_mult, worst_comm)
     return CheckResult(
-        "bohr-isomorphism", passed, value, 1e-8, time.monotonic() - t0,
+        passed, value, 1e-8,
         "mult %.3g comm %.3g%s" % (worst_mult, worst_comm, "" if exact_ok else " roundtrip broken"),
     )
 
 
 def check_parseval(seed: int = 707) -> CheckResult:
     """H^2 moment against the coefficient l2 sum, within 3 standard errors."""
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     worst_sigmas = 0.0
     worst_rel_se = 0.0
@@ -289,10 +280,8 @@ def check_parseval(seed: int = 707) -> CheckResult:
             worst_sigmas = max(worst_sigmas, abs(est.moment - exact) / est.moment_stderr)
         worst_rel_se = max(worst_rel_se, est.moment_stderr / est.moment)
     passed = worst_sigmas <= 3.0 and worst_rel_se <= 0.02
-    return CheckResult(
-        "parseval", passed, worst_sigmas, 3.0, time.monotonic() - t0,
-        "worst relative stderr %.3g (cap 0.02)" % worst_rel_se,
-    )
+    return CheckResult(passed, worst_sigmas, 3.0,
+                       "worst relative stderr %.3g (cap 0.02)" % worst_rel_se)
 
 
 def check_young(seed: int = 808) -> CheckResult:
@@ -301,7 +290,6 @@ def check_young(seed: int = 808) -> CheckResult:
     Instances carry unit constant term, which keeps the p-th moment >= 1 and
     makes the additive form of the bound valid for k*q < p as well.
     """
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     violations = 0
     worst_slack = math.inf
@@ -317,14 +305,11 @@ def check_young(seed: int = 808) -> CheckResult:
         if not rep.holds:
             violations += 1
         worst_slack = min(worst_slack, rep.slack)
-    return CheckResult(
-        "young", violations == 0, float(violations), 0.0, time.monotonic() - t0,
-        "worst slack %.3g" % worst_slack,
-    )
+    return CheckResult(violations == 0, float(violations), 0.0,
+                       "worst slack %.3g" % worst_slack)
 
 
 def check_sup_monotonicity(seed: int = 909) -> CheckResult:
-    t0 = time.monotonic()
     rep = sup_monotonicity_check(make_series([(2, 1 + 0j)], 2), 0.5, 1.0)
     err = max(
         abs(rep.lower_sup.value - 2.0 ** -0.5), abs(rep.upper_sup.value - 0.5)
@@ -339,11 +324,10 @@ def check_sup_monotonicity(seed: int = 909) -> CheckResult:
         if not r.nonstrict_holds:
             ok = False
             err = max(err, r.upper_sup.value - r.lower_sup.value)
-    return CheckResult("sup-monotonicity", ok, err, 1e-4, time.monotonic() - t0)
+    return CheckResult(ok, err, 1e-4)
 
 
 def check_three_lines(seed: int = 1010) -> CheckResult:
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     worst = math.inf
     ok = True
@@ -352,12 +336,11 @@ def check_three_lines(seed: int = 1010) -> CheckResult:
         rep = three_lines_check(D, 0.5, 0.5, 2.0, 0.5, 0.5)
         worst = min(worst, rep.slack)
         ok = ok and rep.holds
-    return CheckResult("three-lines", ok, worst, -1e-6, time.monotonic() - t0,
+    return CheckResult(ok, worst, -1e-6,
                        "value is the minimal slack, must stay above -1e-6")
 
 
 def check_coefficient_extraction(seed: int = 1111) -> CheckResult:
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     D = _random_poly(rng, n_terms=8, max_index=8)
     ev = series_evaluator(D)
@@ -372,14 +355,10 @@ def check_coefficient_extraction(seed: int = 1111) -> CheckResult:
     e_full = worst_error(1e4)
     e_half = worst_error(5e3)
     ok = e_full <= 1e-2 and e_half <= 3.0 * e_full
-    return CheckResult(
-        "coefficient-extraction", ok, e_full, 1e-2, time.monotonic() - t0,
-        "halved-range worst error %.3g (cap 3x)" % e_half,
-    )
+    return CheckResult(ok, e_full, 1e-2, "halved-range worst error %.3g (cap 3x)" % e_half)
 
 
 def check_compactness(seed: int = 0) -> CheckResult:
-    t0 = time.monotonic()
     grid = boundary_grid2()
     affine = DoubleSymbol(
         1, 1, 1, 0, constant_double(2.0, (1, 1)), constant_double(1.0, (1, 1))
@@ -389,14 +368,11 @@ def check_compactness(seed: int = 0) -> CheckResult:
     rep_i = compactness_check(identity, grid)
     err = abs(rep_a.delta - 1.0)
     ok = rep_a.compact and err <= 1e-6 and not rep_i.compact
-    return CheckResult(
-        "compactness", ok, err, 1e-6, time.monotonic() - t0,
-        "affine delta %.9f, identity delta %.3g" % (rep_a.delta, rep_i.delta),
-    )
+    return CheckResult(ok, err, 1e-6,
+                       "affine delta %.9f, identity delta %.3g" % (rep_a.delta, rep_i.delta))
 
 
 def check_semigroup(seed: int = 1313) -> CheckResult:
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     phi = _random_phi(rng, trunc=8)
     A = DirichletSeries({2 * n: c for n, c in phi.terms.items()}, 16)
@@ -411,10 +387,8 @@ def check_semigroup(seed: int = 1313) -> CheckResult:
     except SemigroupError:
         rejected = True
     ok = err <= 1e-6 and rejected
-    return CheckResult(
-        "semigroup", ok, err, 1e-6, time.monotonic() - t0,
-        "corrupted input %s" % ("rejected" if rejected else "NOT rejected"),
-    )
+    return CheckResult(ok, err, 1e-6,
+                       "corrupted input %s" % ("rejected" if rejected else "NOT rejected"))
 
 
 _CHECKS = (
@@ -444,7 +418,13 @@ def run_all(names=None) -> list[CheckResult]:
         unknown = set(names) - {_check_name(fn) for fn in _CHECKS}
         if unknown:
             raise ValueError("unknown checks: %s" % ", ".join(sorted(unknown)))
-    return [fn() for fn in selected]
+    results = []
+    for fn in selected:
+        t0 = time.monotonic()
+        r = fn()
+        r.name, r.elapsed = _check_name(fn), time.monotonic() - t0
+        results.append(r)
+    return results
 
 
 def available_checks() -> list[str]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bohr import NormEstimate, _ascend
+from .bohr import NormEstimate, _climb
 from .double import DoubleDirichletSeries
 from .series import DirichletSeries, _parts
 
@@ -39,16 +39,11 @@ def _line_sum(D, sigma):
     return F, c
 
 
-def _refine(D, sigma, starts):
-    """Ascent of |D| on the line(s) Re = sigma from each start (one row of
-    heights each); returns the best value and its heights."""
-    return _ascend(*_line_sum(D, sigma), np.atleast_2d(starts))
-
-
-def _sup(D, sigma, height_range, samples):
+def _sup(D, sigma, height_range, samples, also=None):
     """Grid over the height range (a side x side grid for a double series,
-    refined as _MAX_REFINE says), then the ascent from the best grid points;
-    never below the grid max."""
+    refined as _MAX_REFINE says), then bohr._climb from the best grid points
+    and from the extra starts `also` (rows of heights); never below the
+    grid max.  Returns the sup estimate and its heights."""
     F, c = _line_sum(D, sigma)
     lo, hi = height_range
     dims = F.shape[1]
@@ -62,11 +57,7 @@ def _sup(D, sigma, height_range, samples):
     else:
         vals = np.abs((phases[:, :, 0] * c) @ phases[:, :, 1].T).ravel()
     grid = np.stack(np.meshgrid(*[t] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
-    refined, arg = _ascend(F, c, grid[np.argsort(vals)[-_GRID_STARTS[dims - 1]:]])
-    best = int(np.argmax(vals))
-    if refined >= vals[best]:
-        return refined, arg
-    return float(vals[best]), grid[best]
+    return _climb(F, c, grid, vals, _GRID_STARTS[dims - 1], also)
 
 
 def line_sup_estimate(D, sigma, height_range=(-50.0, 50.0), samples: int = 512) -> NormEstimate:
@@ -110,11 +101,10 @@ def sup_monotonicity_check(D, sigmas, etas, samples: int = 512) -> SupMonotonici
     if not all(0 < s < e < math.inf for s, e in zip(_parts(sigmas), _parts(etas))):
         raise ValueError("need 0 < sigma < eta < inf, componentwise for a double series")
     hr = (-50.0, 50.0)
-    low_v, _ = _sup(D, sigmas, hr, samples)
     high_v, high_arg = _sup(D, etas, hr, samples)
-    # the eta argmax seeds a second ascent on the sigma line, so a peak
-    # found at eta is never missed at sigma
-    low_v = max(low_v, _refine(D, sigmas, high_arg)[0])
+    # the eta argmax is one more start on the sigma line, so a peak found at
+    # eta is never missed at sigma
+    low_v, _ = _sup(D, sigmas, hr, samples, also=high_arg)
     low = NormEstimate(low_v, 0.0, samples, 0, "line-sup-lower")
     high = NormEstimate(high_v, 0.0, samples, 0, "line-sup-lower")
     margin = low.value - high.value
@@ -152,13 +142,10 @@ def three_lines_check(D: DoubleDirichletSeries, sigma1: float, sigma2: float,
         raise ValueError("gamma must exceed both eta values")
     hr = (-50.0, 50.0)
     mid, mid_arg = _sup(D, (eta1, eta2), hr, samples)
-    corners = []
-    for sig in ((sigma1, sigma2), (sigma1, gamma), (gamma, sigma2), (gamma, gamma)):
-        v, _ = _sup(D, sig, hr, samples)
-        # seed with the middle-line argmax so corner peaks aligned with the
-        # middle maximum are not missed
-        corners.append(max(v, _refine(D, sig, mid_arg)[0]))
-    corners = tuple(corners)
+    # the middle-line argmax is one more start on every corner, so corner
+    # peaks aligned with the middle maximum are not missed
+    corners = tuple(_sup(D, sig, hr, samples, also=mid_arg)[0] for sig in
+                    ((sigma1, sigma2), (sigma1, gamma), (gamma, sigma2), (gamma, gamma)))
     weights = (
         (1 - theta1) * (1 - theta2),
         (1 - theta1) * theta2,
@@ -208,8 +195,13 @@ def coefficient_extract(evaluator, j: int, sigma: float, T: float,
     """Recover the coefficient at index j by the mean value of
     D(sigma+1+i tau) j^{sigma+1+i tau} over [-T, T].
 
-    When the support is known, the attached error bound is the O(1/T)
-    competing-frequency estimate with geometric margin ln(j'/j).
+    When the support is known, the attached error bound sums a bound on
+    each competing term as the quadrature sees it: the trapezoid mean
+    of e^{i omega tau} over [-T, T] with step h = 2T / panels is
+    (h / 2T) sin(omega T) cot(omega h / 2), so each index n != j adds
+    |a_n| (j/n)^{sigma+1} min(1, |cot(omega h / 2)| / panels) for
+    omega = ln(j/n).  While |omega| h <= pi this is at most the O(1/T)
+    estimate 1 / (T |omega|).
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
@@ -224,8 +216,8 @@ def coefficient_extract(evaluator, j: int, sigma: float, T: float,
         for n, a in support.items():
             if n == j:
                 continue
-            gap = abs(math.log(j / n))
-            bound += abs(a) * (float(j) / n) ** (sigma + 1) / (T * gap)
+            mean = min(1.0, abs(1 / math.tan(math.log(j / n) * T / panels)) / panels)
+            bound += abs(a) * (float(j) / n) ** (sigma + 1) * mean
     return ExtractedCoefficient(value, bound)
 
 

@@ -134,19 +134,11 @@ def eval_torus(P: PrimePolynomial, sample: TorusSample) -> complex:
     """Evaluate at z_j = exp(2 pi i theta_j)."""
     import numpy as np
 
-    if len(sample.phases) < P.max_position():
-        raise ValueError(
-            "sample has %d phases, polynomial uses %d primes"
-            % (len(sample.phases), P.max_position())
-        )
-    z = [np.exp(2j * np.pi * th) for th in sample.phases]
-    total = 0j
-    for alpha, c in P.terms.items():
-        v = c
-        for pos, e in alpha:
-            v *= z[pos - 1] ** e
-        total += v
-    return total
+    E, coeffs, width = _exponent_matrix(P)
+    if len(sample.phases) < width:
+        raise ValueError("sample has %d phases, polynomial uses %d primes"
+                         % (len(sample.phases), width))
+    return complex(np.exp(2j * np.pi * (np.array(sample.phases[:width]) @ E.T)) @ coeffs)
 
 
 def kronecker_sample(t: float, positions: int, seed: int = 0) -> TorusSample:
@@ -255,16 +247,32 @@ def _ascend_block(F, c, X):
     return float(abs(f[best])), X[best]
 
 
-def _torus_values(D, samples: int, seed: int):
+def _climb(F, c, points, values, count, also=None):
+    """The sample-then-climb rule behind every sup: the ascent of |f| (f as
+    in _trig_sum) from the `count` points of largest |f|, given as `values`,
+    and from the extra starts `also`.  Returns the best |f| reached and
+    where; never less than the best sample."""
     import numpy as np
 
-    P = lift(D)
-    if P.is_zero():
-        return np.zeros(samples, dtype=complex)
-    E, coeffs, nprimes = _exponent_matrix(P)
-    rng = np.random.default_rng(seed)
-    phases = rng.random((samples, max(nprimes, 1)))
-    return np.exp(2j * np.pi * (phases[:, : E.shape[1]] @ E.T)) @ coeffs
+    starts = points[np.argsort(values)[-count:]]
+    if also is not None:
+        starts = np.vstack([starts, also])
+    climbed, arg = _ascend(F, c, starts)
+    best = int(np.argmax(values))
+    if climbed >= values[best]:
+        return climbed, arg
+    return float(values[best]), points[best]
+
+
+def _torus_values(D, samples: int, seed: int):
+    """Uniform torus samples of the lift of D: the phases (one column per
+    prime in use), the values there, and the exponent matrix and
+    coefficients of the lift."""
+    import numpy as np
+
+    E, coeffs, nprimes = _exponent_matrix(lift(D))
+    phases = np.random.default_rng(seed).random((samples, nprimes))
+    return phases, np.exp(2j * np.pi * (phases @ E.T)) @ coeffs, E, coeffs
 
 
 def hp_norm_estimate(D, p: float, samples: int, seed: int) -> NormEstimate:
@@ -281,7 +289,7 @@ def hp_norm_estimate(D, p: float, samples: int, seed: int) -> NormEstimate:
         raise ValueError("hp_norm_estimate requires a finite p >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    vals = np.abs(_torus_values(D, samples, seed)) ** p
+    vals = np.abs(_torus_values(D, samples, seed)[1]) ** p
     moment = float(np.mean(vals))
     moment_se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     value = moment ** (1.0 / p)
@@ -290,8 +298,8 @@ def hp_norm_estimate(D, p: float, samples: int, seed: int) -> NormEstimate:
 
 
 def hinf_norm_estimate(D, samples: int, seed: int) -> NormEstimate:
-    """Lower bound on the H^infty norm: torus sampling, then a gradient
-    ascent from the best starts.
+    """Lower bound on the H^infty norm: uniform torus samples, then _climb
+    from the best of them.
 
     The value is the larger of the best sample and the ascent; the true
     norm lies between it and the attached coefficient-l1 bound `upper`.
@@ -300,17 +308,7 @@ def hinf_norm_estimate(D, samples: int, seed: int) -> NormEstimate:
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    P = lift(D)
-    upper = D.l1_norm()
-    if P.is_zero():
-        return NormEstimate(0.0, 0.0, samples, seed, "hinf-lower", upper=0.0)
-    E, coeffs, nprimes = _exponent_matrix(P)
-    if nprimes == 0:  # constant polynomial
-        return NormEstimate(float(abs(coeffs[0])), 0.0, samples, seed, "hinf-lower", upper=upper)
-    rng = np.random.default_rng(seed)
-    phases = rng.random((samples, nprimes))
-    vals = np.abs(np.exp(2j * np.pi * (phases @ E.T)) @ coeffs)
-    count = min(_TORUS_STARTS, max(1, _ASCENT_WORK // (E.shape[0] * nprimes**2)))
-    starts = phases[np.argsort(vals)[-count:]]
-    value = max(float(vals.max()), _ascend(2 * np.pi * E, coeffs, starts)[0])
-    return NormEstimate(value, 0.0, samples, seed, "hinf-lower", upper=upper)
+    phases, values, E, coeffs = _torus_values(D, samples, seed)
+    count = min(_TORUS_STARTS, max(1, _ASCENT_WORK // max(1, E.shape[0] * E.shape[1]**2)))
+    value, _ = _climb(2 * np.pi * E, coeffs, phases, np.abs(values), count)
+    return NormEstimate(value, 0.0, samples, seed, "hinf-lower", upper=float(D.l1_norm()))

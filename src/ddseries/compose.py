@@ -30,7 +30,6 @@ from .double import (
     _rows,
     add2,
     evaluate2,
-    scale2,
 )
 from .factor import pair_factorizations
 from .series import (
@@ -185,7 +184,7 @@ def char_power_double(k: int, l: int, sym: Symbol, truncations) -> DoubleDirichl
     return _char_power((k, l), sym, tuple(truncations))
 
 
-scale_double = scale2
+scale_double = scale
 
 
 def exp2(phi: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:

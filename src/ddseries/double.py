@@ -64,9 +64,7 @@ def add2(A: DoubleDirichletSeries, B: DoubleDirichletSeries) -> DoubleDirichletS
     return DoubleDirichletSeries(_pruned(out), (M, N))
 
 
-def scale2(A: DoubleDirichletSeries, c: complex) -> DoubleDirichletSeries:
-    """scale of a double series."""
-    return scale(A, c)
+scale2 = scale
 
 
 def _rows(terms: dict) -> list:

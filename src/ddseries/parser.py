@@ -23,9 +23,8 @@ from .double import (
     constant_double,
     make_double_series,
     mul2,
-    scale2,
 )
-from .series import DirichletSeries
+from .series import DirichletSeries, scale
 
 MAX_INPUT = 1 << 20  # 1 MB
 # Each parenthesis level costs three frames of the recursive descent; the
@@ -119,7 +118,7 @@ class _Parser:
         while (tok := self.peek()) and tok.kind == "op" and tok.text in "+-":
             self.take()
             rhs = self.term()
-            acc = add2(acc, scale2(rhs, -1) if tok.text == "-" else rhs)
+            acc = add2(acc, scale(rhs, -1) if tok.text == "-" else rhs)
         return acc
 
     def term(self):

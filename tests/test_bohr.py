@@ -11,6 +11,7 @@ from ddseries.bohr import (
     PrimePolynomial,
     TorusSample,
     _ascend,
+    _climb,
     _exponent_matrix,
     eval_torus,
     hinf_norm_estimate,
@@ -281,6 +282,50 @@ class TestHinfAscent:
     def test_constant_sum_is_not_climbed(self):
         value, x = _ascend(np.zeros((1, 3)), np.array([2j]), np.full((4, 3), 0.25))
         assert value == 2.0 and list(x) == [0.25] * 3
+
+
+class TestClimb:
+    """_climb on |1 + 0.2 e^{ix} + 0.9 e^{2ix}|, whose local maxima are
+    2.1 at x = 0 and 1.7 at x = pi."""
+
+    F = np.array([[0.0], [1.0], [2.0]])
+    c = np.array([1.0, 0.2, 0.9])
+    points = np.array([[2.9], [3.0], [3.3]])  # all in the basin of pi
+
+    def values(self, points):
+        return np.abs(np.exp(1j * (points @ self.F.T)) @ self.c)
+
+    def test_sampled_starts_reach_their_own_maximum(self):
+        value, x = _climb(self.F, self.c, self.points, self.values(self.points), 2)
+        assert value == pytest.approx(1.7, rel=1e-12)
+        assert x[0] == pytest.approx(math.pi, rel=1e-6)
+
+    def test_an_extra_start_is_climbed(self):
+        value, x = _climb(self.F, self.c, self.points, self.values(self.points), 2,
+                          also=np.array([0.4]))
+        assert value == pytest.approx(2.1, rel=1e-12)
+        assert abs(x[0]) < 1e-6
+
+    def test_never_below_the_best_sample(self):
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 5):
+            F = rng.integers(-3, 4, (12, d)) * 2 * np.pi
+            c = rng.normal(size=12) + 1j * rng.normal(size=12)
+            points = rng.random((50, d))
+            values = np.abs(np.exp(1j * (points @ F.T)) @ c)
+            assert _climb(F, c, points, values, 4)[0] >= values.max()
+        # a sample reported above anything the ascent reaches is returned as is
+        values = self.values(self.points)
+        values[1] = 5.0
+        value, x = _climb(self.F, self.c, self.points, values, 2)
+        assert value == 5.0 and list(x) == [3.0]
+
+    def test_frequency_free_sum_is_not_climbed(self, monkeypatch):
+        monkeypatch.setattr(bohr, "_trig_sum", None)
+        c = np.array([1.0, 1j, 0.5])
+        points = np.full((3, 2), 0.25)
+        value, _ = _climb(np.zeros((3, 2)), c, points, np.full(3, abs(c.sum())), 2)
+        assert value == abs(c.sum())
 
 
 class TestDoubleTorusNorms:

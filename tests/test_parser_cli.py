@@ -229,6 +229,16 @@ class TestCliCommands:
         parts = capsys.readouterr().out.split()
         assert abs(float(parts[2]) - 0.75) < 1e-2
 
+    def test_coeff_bound_covers_a_coarse_quadrature(self, tmp_path, capsys):
+        # 100 panels over [-10^4, 10^4] are 200 apart, far wider than the
+        # 9.06 period of 2^{i tau}: the value is 1.1257 where the truth is 1
+        src = tmp_path / "d.txt"
+        src.write_text("1 + 2^-s")
+        assert main(["coeff", "--in", str(src), "--j", "2", "--sigma", "0.5",
+                     "--panels", "100"]) == 0
+        _, _, re, im, bound = capsys.readouterr().out.split()
+        assert abs(complex(float(re), float(im)) - 1) <= float(bound)
+
     def test_check_symbol_pass_and_fail(self, tmp_path, capsys):
         good = tmp_path / "good.txt"
         good.write_text(dumps_symbol(Symbol(0, make_series([(1, 2 + 0j)], 4))))
