@@ -39,8 +39,23 @@ def _line_sum(D, sigma):
     return F, c
 
 
+def _grid_sum(F, c, lo, step, count):
+    """sum_k c_k e^{i F_k tau} at the heights tau = lo + m step, m < count,
+    for a vector F of frequencies.  With m = b B + r and B = isqrt(count),
+    every value is an entry of the product of the outer table
+    c_k e^{i F_k (lo + b B step)} and the inner table e^{i F_k r step}:
+    (count / B + B) K exponentials and one matrix product instead of
+    count K exponentials, in O((count / B + B) K + count) memory."""
+    B = max(math.isqrt(count), 1)
+    blocks = -(-count // B)
+    outer = np.exp(1j * np.multiply.outer(lo + np.arange(blocks) * B * step, F)) * c
+    inner = np.exp(1j * np.multiply.outer(F, np.arange(B) * step))
+    return (outer @ inner).ravel()[:count]
+
+
 def _sup(D, sigma, height_range, samples, also=None):
-    """Grid over the height range (a side x side grid for a double series,
+    """Grid over the height range (through _grid_sum on one line; a
+    side x side grid for a double series, whose phases separate by axis;
     refined as _MAX_REFINE says), then bohr._climb from the best grid points
     and from the extra starts `also` (rows of heights); never below the
     grid max.  Returns the sup estimate and its heights."""
@@ -51,10 +66,10 @@ def _sup(D, sigma, height_range, samples, also=None):
     fine = math.ceil((hi - lo) * np.abs(F).max(initial=0.0) * 2 / math.pi) + 1
     side = max(side, min(fine, _MAX_REFINE * side))
     t = np.linspace(lo, hi, side)
-    phases = np.exp(1j * t[:, None, None] * F)
     if dims == 1:
-        vals = np.abs(phases[:, :, 0] @ c)
+        vals = np.abs(_grid_sum(F[:, 0], c, lo, (hi - lo) / max(side - 1, 1), side))
     else:
+        phases = np.exp(1j * t[:, None, None] * F)
         vals = np.abs((phases[:, :, 0] * c) @ phases[:, :, 1].T).ravel()
     grid = np.stack(np.meshgrid(*[t] * dims, indexing="ij"), axis=-1).reshape(-1, dims)
     return _climb(F, c, grid, vals, _GRID_STARTS[dims - 1], also)
@@ -165,35 +180,64 @@ class ExtractedCoefficient:
     error_bound: float | None  # None when the support is unknown
 
 
-def _mean_value(evaluator, freq: float, sigma: float, T: float, panels: int) -> complex:
+def _folded(j: int, sigma: float, indices):
+    """The frequencies ln(j/n) and the weights (j/n)^{sigma+1} of the terms
+    a_n n^{-s} of D(s) j^s on the line Re s = sigma + 1, one per index n;
+    the n = j term has frequency exactly 0."""
+    ratio = j / indices
+    with np.errstate(over="ignore"):
+        weight = ratio ** (sigma + 1)
+    if not np.isfinite(weight).all():
+        raise ValueError("(j/n)^(sigma+1) overflows at sigma %r, j %d" % (sigma, j))
+    return np.log(ratio), weight
+
+
+def _mean_value(evaluator, j: int, sigma: float, T: float, panels: int) -> complex:
     """Trapezoid approximation of (1/2T) int_{-T}^{T} E(sigma+1+i tau)
-    freq^{sigma+1+i tau} d tau."""
-    taus = np.linspace(-T, T, panels + 1)
-    pts = (sigma + 1) + 1j * taus
-    vals = np.asarray(evaluator(pts), dtype=complex)
-    integrand = vals * np.exp(pts * math.log(freq))
-    return complex(np.trapezoid(integrand, taus) / (2 * T))
+    j^{sigma+1+i tau} d tau on panels + 1 uniform nodes.  For an evaluator
+    of series_evaluator the integrand is the trigonometric sum
+    sum_n a_n (j/n)^{sigma+1} e^{i tau ln(j/n)}, evaluated by _grid_sum;
+    any other callable is sampled at the nodes."""
+    if hasattr(evaluator, "indices"):
+        omega, weight = _folded(j, sigma, evaluator.indices)
+        vals = _grid_sum(omega, evaluator.coeffs * weight, -T, 2 * T / panels, panels + 1)
+    else:
+        pts = (sigma + 1) + 1j * np.linspace(-T, T, panels + 1)
+        vals = np.asarray(evaluator(pts), dtype=complex) * np.exp(pts * math.log(j))
+    return complex(np.trapezoid(vals) / panels)
 
 
 def series_evaluator(D: DirichletSeries):
-    """Vectorized black-box evaluator for a finite series."""
+    """Vectorized evaluator of a finite series at an array of points.
+
+    The callable carries the series' indices (as floats) and coefficients
+    as `indices` and `coeffs`; from them coefficient_extract evaluates its
+    whole integrand as one trigonometric sum, in (panels / B + B) x terms
+    exponentials for B = sqrt(panels), instead of calling it."""
     ns = sorted(D.terms)
-    cs = np.array([D.terms[n] for n in ns])
-    logn = np.log(np.array(ns, dtype=float)) if ns else np.zeros(0)
+    indices = np.array(ns, dtype=float)
+    cs = np.array([D.terms[n] for n in ns], dtype=complex)
+    logn = np.log(indices)
 
     def ev(s):
-        s = np.asarray(s, dtype=complex)
-        if not ns:
-            return np.zeros_like(s)
-        return np.exp(-np.multiply.outer(s, logn)) @ cs
+        return np.exp(-np.multiply.outer(np.asarray(s, dtype=complex), logn)) @ cs
 
+    ev.indices, ev.coeffs = indices, cs
     return ev
 
 
 def coefficient_extract(evaluator, j: int, sigma: float, T: float,
                         panels: int = 200_000, support=None) -> ExtractedCoefficient:
     """Recover the coefficient at index j by the mean value of
-    D(sigma+1+i tau) j^{sigma+1+i tau} over [-T, T].
+    D(sigma+1+i tau) j^{sigma+1+i tau} over [-T, T], a trapezoid sum on
+    panels + 1 uniform nodes.
+
+    The evaluator of series_evaluator carries its terms, so the integrand
+    is evaluated as one trigonometric sum, in O(sqrt(panels) x terms +
+    panels) time and memory.  Any other callable E is a black box: it is
+    called once on the array of all panels + 1 points and costs what it
+    costs there (a table of points x terms exponentials, for one built
+    like series_evaluator's callable).
 
     When the support is known, the attached error bound sums a bound on
     each competing term as the quadrature sees it: the trapezoid mean
@@ -201,7 +245,8 @@ def coefficient_extract(evaluator, j: int, sigma: float, T: float,
     (h / 2T) sin(omega T) cot(omega h / 2), so each index n != j adds
     |a_n| (j/n)^{sigma+1} min(1, |cot(omega h / 2)| / panels) for
     omega = ln(j/n).  While |omega| h <= pi this is at most the O(1/T)
-    estimate 1 / (T |omega|).
+    estimate 1 / (T |omega|).  A sigma at which some (j/n)^{sigma+1}
+    overflows raises ValueError.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
@@ -209,15 +254,15 @@ def coefficient_extract(evaluator, j: int, sigma: float, T: float,
         raise ValueError("T must be positive and finite, and sigma finite")
     if panels < 1:
         raise ValueError("panels must be >= 1")
-    value = _mean_value(evaluator, float(j), sigma, T, panels)
+    value = _mean_value(evaluator, j, sigma, T, panels)
     bound = None
     if support is not None:
-        bound = 0.0
-        for n, a in support.items():
-            if n == j:
-                continue
-            mean = min(1.0, abs(1 / math.tan(math.log(j / n) * T / panels)) / panels)
-            bound += abs(a) * (float(j) / n) ** (sigma + 1) * mean
+        others = [n for n in support if n != j]
+        omega, weight = _folded(j, sigma, np.array(others, dtype=float))
+        size = np.abs(np.array([support[n] for n in others], dtype=complex)) * weight
+        with np.errstate(divide="ignore"):
+            mean = np.minimum(1.0, np.abs(1 / np.tan(omega * T / panels)) / panels)
+        bound = float(size @ mean)
     return ExtractedCoefficient(value, bound)
 
 
@@ -253,16 +298,12 @@ def semigroup_identify(A: DirichletSeries, B: DirichletSeries, c0: int,
 def _identify_one(A, base, c0, sigma, T, panels, tol):
     ev = series_evaluator(A)
     shift = base**c0
-
-    def shifted(s):
-        s = np.asarray(s, dtype=complex)
-        return np.exp(s * math.log(shift)) * ev(s)
-
     for j in sorted(A.terms):
         if j % shift == 0:
             continue
-        # the proof's integral: mean value of base^{c0 s} A(s) (j/base^{c0})^s
-        coeff = _mean_value(shifted, j / shift, sigma, T, panels)
+        # the proof's integral, the mean value of base^{c0 s} A(s) (j/base^{c0})^s,
+        # is that of A(s) j^s
+        coeff = _mean_value(ev, j, sigma, T, panels)
         if abs(coeff) > tol:
             raise SemigroupError(
                 "coefficient %.3g at forbidden index %d (base %d)" % (abs(coeff), j, base)

@@ -41,8 +41,9 @@ from .series import DirichletSeries, evaluate, mul
 from .superpose import young_bound_verify
 
 
-# --samples and --panels size arrays with this many rows (each as long as
-# the series has terms); a larger value is refused before any is allocated
+# --samples sizes arrays with this many rows (each as long as the series
+# has terms) and --panels a vector of this many nodes; a larger value is
+# refused before anything is allocated
 MAX_POINTS = 10**6
 
 

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ddseries.analyze import (
     SemigroupError,
+    _grid_sum,
     coefficient_bound_check,
     coefficient_extract,
     line_sup_estimate,
@@ -208,6 +210,90 @@ class TestCoefficientExtract:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             coefficient_extract(series_evaluator(make_series([], 4)), 0, 0.5, 1e3)
+
+    @pytest.mark.parametrize("terms, max_index, T, panels", [
+        (64, 256, 1e3, 20_000),  # the shape of the benchmark's extraction job
+        (8, 8, 1e4, 200_000),  # the shape of the coefficient-extraction selftest
+    ])
+    def test_black_box_agrees_with_the_series_evaluator(self, terms, max_index, T, panels):
+        """A plain callable is sampled at the nodes; series_evaluator's
+        callable is summed on the grid by _grid_sum."""
+        rng = random.Random(terms)
+        D = random_series(rng, max_index, terms)
+        ev = series_evaluator(D)
+
+        def black_box(s):
+            return ev(s)
+
+        for j in sorted(rng.sample(sorted(D.terms), 3)) + [1]:
+            fast = coefficient_extract(ev, j, 0.5, T, panels=panels).value
+            slow = coefficient_extract(black_box, j, 0.5, T, panels=panels).value
+            scale = sum(abs(a) * (j / n) ** 1.5 for n, a in D.terms.items())
+            assert abs(fast - slow) <= 1e-13 * scale
+
+
+def _direct_sum(F, c, lo, step, count):
+    """The grid sum from one exponential per height and term."""
+    return np.exp(1j * np.multiply.outer(lo + np.arange(count) * step, F)) @ c
+
+
+def _route_gap(F, c, lo, step, count):
+    """How far the direct and the blocked routes may differ: each rounds a
+    phase F_k tau to within about eps |F_k| |tau| (the height once, the
+    product once), so the two values differ by up to twice that per term,
+    plus a few roundings of the sum."""
+    reach = max(abs(lo), abs(lo + (count - 1) * step))
+    return 2 * np.finfo(float).eps * reach * (np.abs(c) @ np.abs(F)) + 1e-13 * np.abs(c).sum()
+
+
+def _random_sum(seed, terms):
+    rng = np.random.default_rng(seed)
+    F = np.log(rng.integers(1, 257, terms) / rng.integers(1, 257, terms))
+    return F, rng.uniform(-1, 1, terms) + 1j * rng.uniform(-1, 1, terms)
+
+
+class TestGridSum:
+    def test_matches_the_direct_table(self):
+        # heights over [-10^3, 10^3], where phases reach about 5e3 rad and
+        # the direct table itself is good only to about 1e-12 sum |c_k|
+        for terms in (1, 8, 64):
+            F, c = _random_sum(terms, terms)
+            got = _grid_sum(F, c, -1e3, 0.1, 20_001)
+            want = _direct_sum(F, c, -1e3, 0.1, 20_001)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= _route_gap(F, c, -1e3, 0.1, 20_001)
+            assert _route_gap(F, c, -1e3, 0.1, 20_001) <= 3e-12 * np.abs(c).sum()
+
+    # one height, two, a perfect square (7 blocks of 7), one past it (the
+    # 8th block holds one height), and a last block of 6 of 7 heights
+    @pytest.mark.parametrize("count", [1, 2, 49, 50, 55])
+    def test_edge_counts(self, count):
+        F, c = _random_sum(count, 5)
+        got = _grid_sum(F, c, -3.0, 0.37, count)
+        assert got.shape == (count,)
+        assert (np.abs(got - _direct_sum(F, c, -3.0, 0.37, count)).max()
+                <= _route_gap(F, c, -3.0, 0.37, count))
+
+    def test_no_terms(self):
+        got = _grid_sum(np.zeros(0), np.zeros(0, dtype=complex), -1.0, 0.5, 10)
+        assert got.shape == (10,) and not got.any()
+
+    def test_as_accurate_as_the_direct_table_at_large_phases(self):
+        """At T = 10^4 the phases reach about 5e4 rad, where every route is
+        good to about 1e-12; the blocked route is no worse than twice the
+        direct one against a 40-digit reference."""
+        mpmath = pytest.importorskip("mpmath")
+        F, c = _random_sum(5, 8)
+        lo, step, count = -1e4, 20.0, 1001
+        with mpmath.workdps(40):
+            Fm, cm = [mpmath.mpf(f) for f in F], [mpmath.mpc(x) for x in c]
+            ref = np.array([
+                complex(mpmath.fsum(ck * mpmath.expj(fk * (mpmath.mpf(lo) + m * mpmath.mpf(step)))
+                                    for fk, ck in zip(Fm, cm)))
+                for m in range(count)])
+        blocked = np.abs(_grid_sum(F, c, lo, step, count) - ref).max()
+        direct = np.abs(_direct_sum(F, c, lo, step, count) - ref).max()
+        assert blocked <= 2 * direct
 
 
 class TestSemigroupIdentify:

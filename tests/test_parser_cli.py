@@ -229,6 +229,14 @@ class TestCliCommands:
         parts = capsys.readouterr().out.split()
         assert abs(float(parts[2]) - 0.75) < 1e-2
 
+    def test_coeff_at_a_huge_sigma_on_its_own_index(self, tmp_path, capsys):
+        # (2/2)^{sigma+1} = 1 at any sigma
+        src = tmp_path / "d.txt"
+        src.write_text("2^-s")
+        assert main(["coeff", "--in", str(src), "--j", "2", "--sigma", "1e300",
+                     "--panels", "1000"]) == 0
+        assert capsys.readouterr().out == "coeff 2 1.0 0.0 0.0\n"
+
     def test_coeff_bound_covers_a_coarse_quadrature(self, tmp_path, capsys):
         # 100 panels over [-10^4, 10^4] are 200 apart, far wider than the
         # 9.06 period of 2^{i tau}: the value is 1.1257 where the truth is 1
@@ -434,6 +442,39 @@ class TestCliLimits:
         assert len(errors) == 1 and errors[0].endswith(
             ": %d is above the ceiling %d" % (10**12, MAX_POINTS))
         assert "Traceback" not in captured.err
+
+    def test_coeff_at_the_panel_ceiling_fits_in_a_gigabyte(self):
+        """10^6 panels on a 200-term series once asked for a 3 GB table of
+        panels x terms; the grid sum needs a few tens of MB.  The child
+        caps its own address space at 1 GB, with one BLAS thread so that a
+        many-core host reserves no more thread memory than a small one."""
+        import ddseries
+
+        pytest.importorskip("resource")
+        text = dumps_series(make_series([(n, 1 / n) for n in range(1, 201)], 200))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))\n"
+            "from ddseries.cli import main\n"
+            "sys.exit(main(['coeff', '--j', '7', '--panels', '%d']))\n" % MAX_POINTS
+        )
+        src = os.path.dirname(os.path.dirname(ddseries.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("coeff 7 ")
+        assert abs(float(done.stdout.split()[2]) - 1 / 7) < 1e-2
+
+    def test_coeff_sigma_that_overflows_a_weight(self, tmp_path, capsys):
+        # (2/1)^{1101} overflows: one error line naming sigma and j
+        src = tmp_path / "d.txt"
+        src.write_text("1 + 2^-s")
+        assert main(["coeff", "--in", str(src), "--j", "2", "--sigma", "1100",
+                     "--panels", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: (j/n)^(sigma+1) overflows at sigma 1100.0, j 2\n"
 
     @pytest.mark.parametrize("argv", SIZING_FLAGS)
     def test_sizing_flag_at_its_ceiling_parses(self, argv):
