@@ -59,6 +59,8 @@ def _sup(D, sigma, height_range, samples, also=None):
     refined as _MAX_REFINE says), then bohr._climb from the best grid points
     and from the extra starts `also` (rows of heights); never below the
     grid max.  Returns the sup estimate and its heights."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     F, c = _line_sum(D, sigma)
     lo, hi = height_range
     dims = F.shape[1]
@@ -197,13 +199,16 @@ def _mean_value(evaluator, j: int, sigma: float, T: float, panels: int) -> compl
     j^{sigma+1+i tau} d tau on panels + 1 uniform nodes.  For an evaluator
     of series_evaluator the integrand is the trigonometric sum
     sum_n a_n (j/n)^{sigma+1} e^{i tau ln(j/n)}, evaluated by _grid_sum;
-    any other callable is sampled at the nodes."""
+    any other callable is sampled at the nodes and its values taken times
+    j^{sigma+1} e^{i tau ln j}, the n = 1 case of the same fold."""
     if hasattr(evaluator, "indices"):
         omega, weight = _folded(j, sigma, evaluator.indices)
         vals = _grid_sum(omega, evaluator.coeffs * weight, -T, 2 * T / panels, panels + 1)
     else:
-        pts = (sigma + 1) + 1j * np.linspace(-T, T, panels + 1)
-        vals = np.asarray(evaluator(pts), dtype=complex) * np.exp(pts * math.log(j))
+        omega, weight = _folded(j, sigma, np.ones(1))
+        tau = np.linspace(-T, T, panels + 1)
+        vals = np.asarray(evaluator((sigma + 1) + 1j * tau), dtype=complex) * (
+            weight * np.exp(1j * omega * tau))
     return complex(np.trapezoid(vals) / panels)
 
 

@@ -35,6 +35,7 @@ from .factor import pair_factorizations
 from .series import (
     DirichletSeries,
     _check_index,
+    _exp_constant,
     _key,
     _parts,
     _pruned,
@@ -224,7 +225,7 @@ def exp2(phi: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
                 else:
                     acc[key] = e * g
                     heapq.heappush(heap, (key[0] * key[1], key[0], key[1]))
-    factor = cmath.exp(phi.terms.get((1, 1), 0j))
+    factor = _exp_constant(phi.terms.get((1, 1), 0j))
     return DoubleDirichletSeries(_pruned({k: factor * v for k, v in out.items()}), (M, N))
 
 

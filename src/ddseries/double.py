@@ -75,8 +75,9 @@ def _rows(terms: dict) -> list:
     return list(rows.items())
 
 
-def mul2(A: DoubleDirichletSeries, B: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
-    """Two-variable Dirichlet convolution, truncated componentwise.
+def _convolve2(A: dict, B: dict, truncations) -> dict:
+    """Two-variable Dirichlet convolution of {(m, n): coefficient} maps,
+    truncated componentwise.
 
     B is grouped by its first index into sorted rows; for each (d, e) of A
     the row loop stops at f > M // d and the entry loop at g > N // e, so
@@ -84,9 +85,9 @@ def mul2(A: DoubleDirichletSeries, B: DoubleDirichletSeries, truncations) -> Dou
     instead of |A|*|B|.
     """
     M, N = truncations
-    rows = _rows(B.terms)
+    rows = _rows(B)
     out: dict[tuple[int, int], complex] = {}
-    for (d, e), a in A.terms.items():
+    for (d, e), a in A.items():
         fmax, gmax = M // d, N // e
         for f, row in rows:
             if f > fmax:
@@ -97,7 +98,13 @@ def mul2(A: DoubleDirichletSeries, B: DoubleDirichletSeries, truncations) -> Dou
                     break
                 key = (m, e * g)
                 out[key] = out.get(key, 0j) + a * b
-    return DoubleDirichletSeries(_pruned(out), (M, N))
+    return out
+
+
+def mul2(A: DoubleDirichletSeries, B: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
+    """Two-variable Dirichlet convolution (see _convolve2)."""
+    return DoubleDirichletSeries(_pruned(_convolve2(A.terms, B.terms, truncations)),
+                                 tuple(truncations))
 
 
 def evaluate2(D: DoubleDirichletSeries, s: complex, t: complex) -> complex:

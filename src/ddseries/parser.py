@@ -10,21 +10,20 @@ Grammar (left-associative):
 
 Expressions evaluate to a DirichletSeries when only `^-s` atoms occur and
 to a DoubleDirichletSeries as soon as a `^-t` atom appears.
+
+One regex pass tokenizes the input; every rule then evaluates to a plain
+{(m, n): coefficient} map in the same pass: '+' and '-' add the right map
+into the left one in place, '*' convolves the two maps (double._convolve2,
+the loop of mul2), and one series is built at the end.  A sum of monomials
+parses in time linear in the input.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .double import (
-    DoubleDirichletSeries,
-    add2,
-    constant_double,
-    make_double_series,
-    mul2,
-)
-from .series import DirichletSeries, scale
+from .double import DoubleDirichletSeries, _convolve2
+from .series import DirichletSeries, _check_finite, _pruned
 
 MAX_INPUT = 1 << 20  # 1 MB
 # Each parenthesis level costs three frames of the recursive descent; the
@@ -46,148 +45,114 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)
   | (?P<i>i)
   | (?P<op>[+\-*()])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _error(text: str, message: str, offset: int) -> ParseError:
+    """A ParseError at the line and column of text[offset]."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str) -> list:
+    """The (kind, text, offset) tokens of text, whitespace left out; the
+    first unexpected character raises."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos], line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
+        if kind == "bad":
+            raise _error(text, "unexpected character %r" % m.group(), m.start())
         if kind != "ws":
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
+            tokens.append((kind, m.group(), m.start()))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], truncations):
-        self.tokens = tokens
+    def __init__(self, text: str, tokens: list, truncation: int):
+        # three end tokens, just after the last token, so that the complex
+        # literal's look-ahead never runs off the list
+        _, last, offset = tokens[-1]
+        self.tokens = tokens + [("end", "", offset + len(last))] * 3
+        self.text = text
         self.pos = 0
-        self.truncs = truncations
+        self.trunc = truncation
         self.saw_t = False
         self.depth = 0
 
-    def peek(self, offset=0):
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
-
     def take(self):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.column + len(last.text))
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise _error(self.text, "unexpected end of input", tok[2])
         self.pos += 1
         return tok
 
-    def expect_op(self, op):
-        tok = self.take()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError("expected %r, found %r" % (op, tok.text), tok.line, tok.column)
-
-    def parse(self) -> DoubleDirichletSeries:
-        result = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError("unexpected token %r" % tok.text, tok.line, tok.column)
-        return result
-
-    def expr(self):
+    def expr(self) -> dict:
         acc = self.term()
-        while (tok := self.peek()) and tok.kind == "op" and tok.text in "+-":
-            self.take()
-            rhs = self.term()
-            acc = add2(acc, scale(rhs, -1) if tok.text == "-" else rhs)
+        while (op := self.tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
+            for k, v in self.term().items():
+                acc[k] = acc.get(k, 0j) + (v if op == "+" else -v)
         return acc
 
-    def term(self):
+    def term(self) -> dict:
         acc = self.factor()
-        while (tok := self.peek()) and tok.kind == "op" and tok.text == "*":
-            self.take()
-            acc = mul2(acc, self.factor(), self.truncs)
+        while self.tokens[self.pos][1] == "*":
+            self.pos += 1
+            acc = _convolve2(acc, self.factor(), (self.trunc, self.trunc))
         return acc
 
-    def factor(self):
-        tok = self.take()
-        if tok.kind == "op" and tok.text == "(":
+    def factor(self) -> dict:
+        kind, text, offset = self.take()
+        if text == "(":
             if self.depth == MAX_DEPTH:
-                raise ParseError(
-                    "parentheses nested deeper than %d" % MAX_DEPTH, tok.line, tok.column
-                )
+                raise _error(self.text, "parentheses nested deeper than %d" % MAX_DEPTH, offset)
             self.depth += 1
             inner = self.expr()
-            self.expect_op(")")
+            _, close, at = self.take()
+            if close != ")":
+                raise _error(self.text, "expected ')', found %r" % close, at)
             self.depth -= 1
             return inner
-        if tok.kind == "atom":
-            base_txt, var = tok.text.split("^-")
-            base = int(base_txt)
+        if kind == "atom":
+            base = int(text[:-3])
             if base < 1:
-                raise ParseError("atom base must be >= 1", tok.line, tok.column)
-            if var == "t":
+                raise _error(self.text, "atom base must be >= 1", offset)
+            if base > self.trunc:
+                raise _error(self.text, "index %d exceeds truncation" % base, offset)
+            if text[-1] == "t":
                 self.saw_t = True
-                pair = (1, base)
-            else:
-                pair = (base, 1)
-            M, N = self.truncs
-            if pair[0] > M or pair[1] > N:
-                raise ParseError(
-                    "index %d exceeds truncation" % base, tok.line, tok.column
-                )
-            return make_double_series([(pair, 1 + 0j)], self.truncs)
-        if tok.kind == "number":
-            value = complex(float(tok.text), 0.0)
-            nxt, nxt2, nxt3 = self.peek(), self.peek(1), self.peek(2)
-            if (
-                nxt is not None
-                and nxt.kind == "op"
-                and nxt.text in "+-"
-                and nxt2 is not None
-                and nxt2.kind == "number"
-                and nxt3 is not None
-                and nxt3.kind == "i"
-            ):
-                sign = 1.0 if nxt.text == "+" else -1.0
-                self.take(), self.take(), self.take()
-                value = complex(value.real, sign * float(nxt2.text))
-            return constant_double(value, self.truncs)
-        raise ParseError("unexpected token %r" % tok.text, tok.line, tok.column)
+                return {(1, base): 1 + 0j}
+            return {(base, 1): 1 + 0j}
+        if kind == "number":
+            value = float(text)
+            sign, imag, i = self.tokens[self.pos:self.pos + 3]
+            if sign[1] in ("+", "-") and imag[0] == "number" and i[0] == "i":
+                self.pos += 3
+                value = complex(value, float(imag[1]) if sign[1] == "+" else -float(imag[1]))
+            return {(1, 1): _check_finite(value)}
+        raise _error(self.text, "unexpected token %r" % text, offset)
 
 
 def parse_expression(text: str, truncation: int = 64):
     """Parse an expression to a series; single-variable input demotes to a
-    DirichletSeries."""
+    DirichletSeries.  A coefficient that overflows raises ValueError."""
     if len(text) > MAX_INPUT:
         raise ParseError("input exceeds 1 MB", 1, 1)
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 1, 1)
-    parser = _Parser(tokens, (truncation, truncation))
-    result = parser.parse()
+    parser = _Parser(text, tokens, truncation)
+    terms = parser.expr()
+    kind, rest, offset = parser.tokens[parser.pos]
+    if kind != "end":
+        raise _error(text, "unexpected token %r" % rest, offset)
+    terms = _pruned(terms)
     if parser.saw_t:
-        return result
-    return DirichletSeries({m: c for (m, _), c in result.terms.items()}, truncation)
+        return DoubleDirichletSeries(terms, (truncation, truncation))
+    return DirichletSeries({m: c for (m, _), c in terms.items()}, truncation)
 
 
 def print_expression(series) -> str:
@@ -216,7 +181,8 @@ def print_expression(series) -> str:
         if c.imag == 0:
             coef = repr(c.real)
         else:
-            coef = "(%r%s%ri)" % (c.real, "+" if c.imag >= 0 else "-", abs(c.imag))
+            # + 0.0 turns a real part of -0.0 into 0.0, which the grammar reads
+            coef = "(%r%s%ri)" % (c.real + 0.0, "+" if c.imag >= 0 else "-", abs(c.imag))
         parts.append(("-" if negative else "+", "*".join([coef] + atom) if atom else coef))
     if not parts:
         return "0.0*1^-t" if mark_t else "0.0"

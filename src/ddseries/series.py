@@ -38,7 +38,13 @@ def _check_index(n) -> int:
 
 
 def _pruned(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if abs(v) >= PRUNE_BELOW}
+    """terms less those below PRUNE_BELOW in modulus; an inf or NaN raises
+    ValueError, looked for value by value only when the sum is not finite."""
+    out = {k: v for k, v in terms.items() if not abs(v) < PRUNE_BELOW}
+    if not cmath.isfinite(sum(out.values())):
+        for v in out.values():
+            _check_finite(v)
+    return out
 
 
 def _parts(key) -> tuple:
@@ -74,7 +80,7 @@ def _validated(terms, truncations: tuple) -> dict:
             raise ValueError("index %r exceeds truncation %r" % (key, _key(truncations)))
         if key in out:
             raise ValueError("duplicate index %r" % (key,))
-        out[key] = _check_finite(c)
+        out[key] = complex(c)
     return _pruned(out)
 
 
@@ -202,6 +208,14 @@ def _recurrence(acc: dict, gens: list, finish, truncation: int) -> dict:
     return out
 
 
+def _exp_constant(c: complex) -> complex:
+    """exp(c) for a constant term c; a ValueError naming c if it overflows."""
+    try:
+        return cmath.exp(c)
+    except OverflowError:
+        raise ValueError("exp of the constant term %r overflows" % (c,)) from None
+
+
 def exp_series(phi: DirichletSeries, truncation: int) -> DirichletSeries:
     """Formal exponential exp(a_1) * exp(psi), psi = phi - a_1.
 
@@ -224,7 +238,7 @@ def exp_series(phi: DirichletSeries, truncation: int) -> DirichletSeries:
     out = {1: 1 + 0j}
     # the pushes from e_1 = 1 seed the recurrence
     out.update(_recurrence(dict(gens), gens, finish, truncation))
-    factor = cmath.exp(a1)
+    factor = _exp_constant(a1)
     return DirichletSeries(_pruned({n: factor * c for n, c in out.items()}), truncation)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ class TestLineSup:
     def test_zero(self):
         assert line_sup_estimate(zero_series(8), 0.5).value == 0.0
         assert line_sup_estimate(make_double_series([], (4, 4)), (1.0, 1.0)).value == 0.0
+
+
+class TestSampleCount:
+    """Every sup search refuses a sample count below one by name."""
+
+    D = make_series([(1, 1), (2, 1)], 4)
+    D2 = make_double_series([((1, 1), 1), ((2, 3), 1)], (4, 4))
+
+    @pytest.mark.parametrize("check", [
+        lambda D, D2: line_sup_estimate(D, 1.0, samples=0),
+        lambda D, D2: line_sup_estimate(D2, (1.0, 1.0), samples=0),
+        lambda D, D2: sup_monotonicity_check(D, 0.5, 1.0, samples=0),
+        lambda D, D2: three_lines_check(D2, 0.5, 0.5, 2.0, 0.5, 0.5, samples=0),
+        lambda D, D2: coefficient_bound_check(D2, 0.5, samples=-3),
+    ], ids=["line-sup", "line-sup-double", "monotonicity", "three-lines", "coefficient-bound"])
+    def test_rejected(self, check):
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            check(self.D, self.D2)
+
+    def test_one_sample_is_enough(self):
+        assert abs(line_sup_estimate(self.D, 1.0, samples=1).value - 1.5) < 1e-6
 
 
 class TestLineSupAscent:
@@ -210,6 +232,17 @@ class TestCoefficientExtract:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             coefficient_extract(series_evaluator(make_series([], 4)), 0, 0.5, 1e3)
+
+    def test_black_box_weight_overflow_raises(self):
+        """j^{sigma+1} overflows: the same error as the series_evaluator
+        path, not a NaN with numpy warnings."""
+        D = make_series([(1, 1), (2, 1)], 4)
+        message = r"^\(j/n\)\^\(sigma\+1\) overflows at sigma 1e\+300, j 2$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ev in (series_evaluator(D), lambda s: 1 + np.exp(-np.log(2) * s)):
+                with pytest.raises(ValueError, match=message):
+                    coefficient_extract(ev, 2, 1e300, 1e3, panels=1000)
 
     @pytest.mark.parametrize("terms, max_index, T, panels", [
         (64, 256, 1e3, 20_000),  # the shape of the benchmark's extraction job

@@ -27,6 +27,7 @@ from ddseries.formats import (
     loads_series,
     loads_symbol,
 )
+from ddseries.parser import parse_expression, print_expression
 from ddseries.series import DirichletSeries, make_series, mul
 from fresh_process import run_fresh
 
@@ -82,6 +83,11 @@ class TestRoundTrips:
     @given(_series)
     def test_loads_inverts_dumps(self, D):
         assert loads_series(dumps_series(D)) == D
+
+    @ROUND_TRIPS
+    @given(_series)
+    def test_parse_inverts_print(self, D):
+        assert parse_expression(print_expression(D), D.truncations[0]) == D
 
     @ROUND_TRIPS
     @given(_series)

@@ -188,6 +188,12 @@ class TestCharPowerDouble:
             assert all(abs(a.terms.get(x, 0j) - b.terms.get(x, 0j)) <= 1e-12 for x in keys)
 
 
+    def test_exp2_of_a_large_constant_raises(self):
+        phi = make_double_series([((1, 1), 2000 + 0j), ((2, 3), 1 + 0j)], (8, 8))
+        with pytest.raises(ValueError, match=r"^exp of the constant term \(2000\+0j\) overflows$"):
+            exp2(phi, (8, 8))
+
+
 class TestCharPowerViaFactorizations:
     def test_zero_phi(self):
         D = char_power_via_factorizations(3, zero_double((4, 4)), (4, 4))

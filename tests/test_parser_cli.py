@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -84,6 +85,84 @@ class TestParseExpression:
         with pytest.raises(ParseError):
             parse_expression("100^-s", truncation=64)
 
+    @pytest.mark.parametrize("text, value", [
+        ("1e300 * 1e300", "(inf+0j)"),
+        ("1e300*1e300 - 1e300*1e300", "(nan+0j)"),
+        ("(1e200*2^-s) * (1e200*3^-t)", "(inf+0j)"),
+        ("1e999 * 2^-s", "(inf+0j)"),
+        ("2^-s * (1 + 1e999i)", "(1+infj)"),
+    ])
+    def test_overflow_raises(self, text, value):
+        with pytest.raises(ValueError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == "non-finite coefficient: " + value
+
+    def test_overflow_dropped_past_the_truncation_is_harmless(self):
+        assert parse_expression("1e300 * 1e300 * 8^-s * 8^-s", 16).is_zero()
+
+
+class TestParseGrowth:
+    """A sum of monomials parses in time linear in its length."""
+
+    @staticmethod
+    def _best_of_3(text, truncation):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parse_expression(text, truncation)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    def test_eight_times_the_terms_take_at_most_twenty_times_as_long(self):
+        def text(terms):
+            return " + ".join("%d.5*%d^-s" % (n, n) for n in range(1, terms + 1))
+
+        ratio = self._best_of_3(text(8000), 8000) / self._best_of_3(text(1000), 1000)
+        assert ratio <= 20, ratio
+
+    def test_round_trip_of_sixteen_thousand_terms(self):
+        rng = random.Random(16000)
+        D = make_series(
+            [(n, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))) for n in range(1, 16001)],
+            16000,
+        )
+        assert parse_expression(print_expression(D), 16000) == D
+
+
+class TestParseErrors:
+    """Every ParseError kind, pinned with its full message and position."""
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("1 +\n2^-s * $", "unexpected character '$'", 2, 8),
+        ("2^-s * (1 +\t3)\n\n  # note", "unexpected character '#'", 3, 3),
+        ("1 + 2^-s *", "unexpected end of input", 1, 11),
+        ("1 * (2^-s\n + 3\n  \n", "unexpected end of input", 2, 5),
+        ("(1 + 2^-s 3", "expected ')', found '3'", 1, 11),
+        ("(1 +\n 2^-s i)", "expected ')', found 'i'", 2, 7),
+        ("1 2", "unexpected token '2'", 1, 3),
+        (")", "unexpected token ')'", 1, 1),
+        ("1e300 * 1e300 )", "unexpected token ')'", 1, 15),
+        ("\t\n  1 *\n   *", "unexpected token '*'", 3, 4),
+        ("2 + i", "unexpected token 'i'", 1, 5),
+        ("0^-s", "atom base must be >= 1", 1, 1),
+        ("1 +\n 00^-t", "atom base must be >= 1", 2, 2),
+        ("100^-s", "index 100 exceeds truncation", 1, 1),
+        (" 2^-s *\n 65^-t", "index 65 exceeds truncation", 2, 2),
+        ("\n" + "(" * 101 + "2^-s" + ")" * 101, "parentheses nested deeper than 100", 2, 101),
+        ("", "empty expression", 1, 1),
+        ("  \n ", "empty expression", 1, 1),
+        ("1" + " " * MAX_INPUT, "input exceeds 1 MB", 1, 1),
+    ])
+    def test_message_and_position(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == "%s at line %d, column %d" % (message, line, column)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_bad_character_is_raised_before_parsing(self):
+        with pytest.raises(ParseError, match=r"^unexpected character '\$' at line 1, column 5"):
+            parse_expression(") + $")
+
 
 class TestPrintExpression:
     def test_roundtrip_single(self):
@@ -105,6 +184,13 @@ class TestPrintExpression:
 
     def test_zero(self):
         assert parse_expression(print_expression(zero_series(4))).is_zero()
+
+    @pytest.mark.parametrize("c", [complex(0.0, -1.0), complex(-0.0, 1.0), complex(-0.0, -1.0)])
+    def test_signed_zero_real_part(self, c):
+        # the negation of 0.0 - 1.0j has a real part of -0.0, once printed
+        # as the unreadable "(-0.0+1.0i)"
+        D = make_series([(1, c), (3, c)], 4)
+        assert parse_expression(print_expression(D), 4) == D
 
     def test_double_without_t_atoms_stays_double(self):
         D = make_double_series([((1, 1), 1 + 0j), ((2, 1), 2 + 0j)], (4, 4))
@@ -374,6 +460,29 @@ SIZING_FLAGS = [
     ["check-young", "--k", "2", "--p", "4", "--q", "2", "--seed", "1", "--samples"],
     ["coeff", "--j", "2", "--panels"],
 ]
+
+
+class TestCliOverflow:
+    """A coefficient that overflows exits 2 with one error line."""
+
+    @pytest.mark.parametrize("argv, text, err", [
+        (["eval", "--s", "2"], "1e300 * 1e300",
+         "error: non-finite coefficient: (inf+0j)\n"),
+        (["lift"], "(1e200*2^-s)*(1e200*3^-s)",
+         "error: non-finite coefficient: (inf+0j)\n"),
+        (["compose", "--symbol", "{sym}"], "2^-s",
+         "error: exp of the constant term (1386.2943611198905-0j) overflows\n"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, argv, text, err):
+        sym = tmp_path / "sym.txt"
+        sym.write_text("symbol v1 single 0\ndirichlet v1 single 8\n1 -2000 0\n")
+        src = tmp_path / "d.txt"
+        src.write_text(text)
+        argv = [a.format(sym=sym) for a in argv]
+        assert main(argv + ["--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
 
 
 class TestCliLimits:

@@ -7,6 +7,7 @@ import pytest
 
 from ddseries.series import (
     DirichletSeries,
+    _pruned,
     add,
     constant_series,
     evaluate,
@@ -135,6 +136,30 @@ class TestMul:
         for p in (2, 3, 5, 7):
             expected = A.coefficient(1) * B.coefficient(p) + A.coefficient(p) * B.coefficient(1)
             assert abs(mul(A, B, 32).coefficient(p) - expected) < 1e-15
+
+
+class TestNonFiniteResults:
+    """No series holds inf or NaN: a result that overflows raises."""
+
+    def test_mul_overflow_raises(self):
+        A = make_series([(2, 1e200)], 8)
+        B = make_series([(3, 1e200)], 8)
+        with pytest.raises(ValueError, match=r"^non-finite coefficient: \(inf\+0j\)$"):
+            mul(A, B, 8)
+
+    def test_nan_is_not_pruned(self):
+        # abs(nan) >= PRUNE_BELOW is False, so a NaN once read as below the cut
+        with pytest.raises(ValueError, match=r"^non-finite coefficient: \(nan\+0j\)$"):
+            _pruned({1: 1 + 0j, 2: complex(math.nan, 0.0)})
+
+    def test_large_finite_sum_is_kept(self):
+        # the values' sum overflows, but every value is finite
+        A = make_series([(1, 1.5e308), (2, 1.5e308)], 8)
+        assert mul(A, constant_series(1, 8), 8).terms == A.terms
+
+    def test_exp_of_a_large_constant_raises(self):
+        with pytest.raises(ValueError, match=r"^exp of the constant term \(2000\+0j\) overflows$"):
+            exp_series(constant_series(2000, 8), 8)
 
 
 class TestScale:
