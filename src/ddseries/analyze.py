@@ -17,7 +17,7 @@ import numpy as np
 
 from .bohr import NormEstimate, _climb
 from .double import DoubleDirichletSeries
-from .series import DirichletSeries, _parts
+from .series import DirichletSeries, _gap, _parts
 
 # the ascent runs from this many of the best grid points, for one and for
 # two variables
@@ -289,10 +289,7 @@ def semigroup_identify(A: DirichletSeries, B: DirichletSeries, c0: int,
         raise ValueError("c0 must be a positive integer")
     phi_a = _identify_one(A, 2, c0, sigma, T, panels, tol)
     phi_b = _identify_one(B, 3, c0, sigma, T, panels, tol)
-    keys = set(phi_a.terms) | set(phi_b.terms)
-    mismatch = max(
-        (abs(phi_a.terms.get(n, 0j) - phi_b.terms.get(n, 0j)) for n in keys), default=0.0
-    )
+    mismatch = _gap(phi_a.terms, phi_b.terms)
     if mismatch > tol:
         raise SemigroupError(
             "recoveries from the base-2 and base-3 inputs disagree by %.3g" % mismatch

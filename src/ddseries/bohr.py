@@ -49,9 +49,6 @@ class PrimePolynomial:
 
     terms: dict[MultiIndex, complex]
 
-    def max_position(self) -> int:
-        return max((pos for alpha in self.terms for pos, _ in alpha), default=0)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -61,11 +58,6 @@ class DoublePrimePolynomial:
     """Finite polynomial sum c_{alpha,beta} z^alpha w^beta."""
 
     terms: dict[tuple[MultiIndex, MultiIndex], complex]
-
-    def max_position(self) -> int:
-        return max(
-            (pos for ab in self.terms for alpha in ab for pos, _ in alpha), default=0
-        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -270,6 +262,8 @@ def _torus_values(D, samples: int, seed: int):
     coefficients of the lift."""
     import numpy as np
 
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     E, coeffs, nprimes = _exponent_matrix(lift(D))
     phases = np.random.default_rng(seed).random((samples, nprimes))
     return phases, np.exp(2j * np.pi * (phases @ E.T)) @ coeffs, E, coeffs
@@ -287,8 +281,6 @@ def hp_norm_estimate(D, p: float, samples: int, seed: int) -> NormEstimate:
 
     if not 1 <= p < math.inf:  # NaN fails too
         raise ValueError("hp_norm_estimate requires a finite p >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     vals = np.abs(_torus_values(D, samples, seed)[1]) ** p
     moment = float(np.mean(vals))
     moment_se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -306,8 +298,6 @@ def hinf_norm_estimate(D, samples: int, seed: int) -> NormEstimate:
     """
     import numpy as np
 
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     phases, values, E, coeffs = _torus_values(D, samples, seed)
     count = min(_TORUS_STARTS, max(1, _ASCENT_WORK // max(1, E.shape[0] * E.shape[1]**2)))
     value, _ = _climb(2 * np.pi * E, coeffs, phases, np.abs(values), count)

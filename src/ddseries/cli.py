@@ -245,11 +245,12 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_io(p, with_in=True):
+def _add_io(p, with_in=True, with_trunc=True):
     if with_in:
         p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--trunc", type=int, default=64, help="series truncation (default 64)")
+    if with_trunc:
+        p.add_argument("--trunc", type=int, default=64, help="series truncation (default 64)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_coeff)
 
     p = sub.add_parser("check-symbol", help="sampled range check of a symbol")
-    _add_io(p, with_in=False)
+    _add_io(p, with_in=False, with_trunc=False)
     p.add_argument("--symbol", required=True)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.set_defaults(fn=_cmd_check_symbol)
 
     p = sub.add_parser("check-compact", help="sampled compactness verdict")
-    _add_io(p, with_in=False)
+    _add_io(p, with_in=False, with_trunc=False)
     p.add_argument("--symbol", required=True)
     p.add_argument("--min-re", dest="min_re", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_check_compact)
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check_suplines)
 
     p = sub.add_parser("selftest", help="run the numbered verification checks")
-    _add_io(p, with_in=False)
+    _add_io(p, with_in=False, with_trunc=False)
     p.add_argument("--only", default=None, help="comma-separated check names")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_selftest)

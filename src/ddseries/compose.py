@@ -10,7 +10,6 @@ used as an oracle.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import heapq
 import math
@@ -36,6 +35,7 @@ from .series import (
     DirichletSeries,
     _check_index,
     _exp_constant,
+    _gap,
     _key,
     _parts,
     _pruned,
@@ -113,7 +113,9 @@ _BOUNDARY_EPS = 1e-12
 
 
 def validate_symbol(sym, probes) -> ValidationReport:
-    """Structural plus sampled range checks; diagnostics, never raises.
+    """Structural plus sampled range checks; diagnostics, raising only for
+    a sym that is not a Symbol (TypeError) and for a probe value that
+    overflows (ValueError, from the evaluation).
 
     probes: points s in C_+ for a symbol in one variable, pairs (s, t) in
     C_+^2 for one in two.
@@ -241,8 +243,7 @@ def char_power_via_factorizations(k: int, phi: DoubleDirichletSeries,
         raise ValueError("char_power_via_factorizations requires k >= 2")
     M, N = truncations
     logk = math.log(k)
-    b11 = phi.terms.get((1, 1), 0j)
-    global_factor = cmath.exp(-logk * b11)
+    global_factor = _exp_constant(-logk * phi.terms.get((1, 1), 0j))
     out = {(1, 1): global_factor}
     for MM in range(1, M + 1):
         for NN in range(1, N + 1):
@@ -312,10 +313,8 @@ def recover_symbol(D2: DirichletSeries, D3: DirichletSeries, truncation: int) ->
     phi2 = _recover_phi(D2, 2, c0, t2)
     phi3 = _recover_phi(D3, 3, c0, t3)
     horizon = min(t2, t3)
-    common = {n for n in set(phi2.terms) | set(phi3.terms) if n <= horizon}
-    mismatch = max(
-        (abs(phi2.terms.get(n, 0j) - phi3.terms.get(n, 0j)) for n in common), default=0.0
-    )
+    mismatch = _gap(*({n: c for n, c in phi.terms.items() if n <= horizon}
+                      for phi in (phi2, phi3)))
     if mismatch > 1e-9:
         raise SymbolRecoveryError(
             "k=2 and k=3 recoveries disagree by %.3g; inputs are not symbol powers"
@@ -372,14 +371,8 @@ class PositivityReport:
 def positivity_check(phi: DoubleDirichletSeries, grid) -> PositivityReport:
     """Sampled check of Re phi >= 0 on C_+^2: negative findings are a
     disproof, non-negative findings only consistency."""
-    best = None
-    arg = None
-    for (s, t) in grid:
-        v = evaluate2(phi, s, t).real
-        if best is None or v < best:
-            best, arg = v, (s, t)
-    if best is None:
-        best, arg = 0.0, (0j, 0j)
+    best, arg = min(((evaluate2(phi, s, t).real, (s, t)) for s, t in grid),
+                    key=lambda found: found[0], default=(0.0, (0j, 0j)))
     return PositivityReport("disproof" if best < 0 else "consistent", best, arg)
 
 

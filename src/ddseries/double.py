@@ -11,7 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .series import DirichletSeries, _pruned, _Series, _validated, evaluate, make_series, scale
+from .series import (DirichletSeries, _point_sum, _pruned, _Series, _validated, evaluate,
+                     make_series, scale)
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,10 @@ def mul2(A: DoubleDirichletSeries, B: DoubleDirichletSeries, truncations) -> Dou
 
 
 def evaluate2(D: DoubleDirichletSeries, s: complex, t: complex) -> complex:
-    return sum(
-        a * cmath.exp(-s * math.log(m) - t * math.log(n)) for (m, n), a in D.terms.items()
+    """Pointwise value sum a_{m,n} m^{-s} n^{-t}; a ValueError if it overflows."""
+    return _point_sum(
+        (a * cmath.exp(-s * math.log(m) - t * math.log(n)) for (m, n), a in D.terms.items()),
+        (s, t),
     )
 
 
@@ -150,19 +153,22 @@ def regular_check(D: DoubleDirichletSeries, s: complex, t: complex) -> dict:
 
     All three agree exactly up to floating reordering for finite series; the
     report carries the three values and their maximal pairwise deviation.
+    Each order is the evaluate of the series of its inner sums, taken in
+    increasing outer index, each inner sum in the order of D's terms.
     """
     total = evaluate2(D, s, t)
-    rows = sorted({m for m, _ in D.terms})
-    by_rows = sum(
-        evaluate(row_series(D, m), t) * cmath.exp(-s * math.log(m)) for m in rows
-    )
-    cols = sorted({n for _, n in D.terms})
-    by_cols = 0j
-    for n in cols:
-        col = DirichletSeries(
-            {m: a for (m, nn), a in D.terms.items() if nn == n}, D.truncations[0]
-        )
-        by_cols += evaluate(col, s) * cmath.exp(-t * math.log(n))
+    rows, cols = {}, {}
+    for (m, n), a in D.terms.items():
+        rows.setdefault(m, {})[n] = a
+        cols.setdefault(n, {})[m] = a
+
+    def nested(groups, inner, outer, truncations):
+        sums = {k: evaluate(DirichletSeries(groups[k], truncations[1]), inner)
+                for k in sorted(groups)}
+        return evaluate(DirichletSeries(sums, truncations[0]), outer)
+
+    by_rows = nested(rows, t, s, D.truncations)
+    by_cols = nested(cols, s, t, D.truncations[::-1])
     spread = max(abs(total - by_rows), abs(total - by_cols), abs(by_rows - by_cols))
     return {
         "total": total,

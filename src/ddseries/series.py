@@ -165,9 +165,28 @@ def mul(A: DirichletSeries, B: DirichletSeries, truncation: int) -> DirichletSer
     return DirichletSeries(_pruned(out), truncation)
 
 
+def _point_sum(terms, point) -> complex:
+    """The sum of terms, the terms of the value at point, as a complex (0j
+    for none): a ValueError naming the point if a term overflows or the sum
+    is not finite."""
+    try:
+        total = sum(terms, 0j)
+    except OverflowError:
+        total = math.inf
+    if not cmath.isfinite(total):
+        raise ValueError("the value at %r overflows" % (point,))
+    return total
+
+
 def evaluate(D: DirichletSeries, s: complex) -> complex:
-    """Pointwise value sum a_n n^{-s}, principal branch n^{-s} = exp(-s ln n)."""
-    return sum(a * cmath.exp(-s * math.log(n)) for n, a in D.terms.items())
+    """Pointwise value sum a_n n^{-s}, principal branch n^{-s} = exp(-s ln n);
+    a ValueError if it overflows."""
+    return _point_sum((a * cmath.exp(-s * math.log(n)) for n, a in D.terms.items()), s)
+
+
+def _gap(A: dict, B: dict) -> float:
+    """max |A_k - B_k| over the keys of either term map; 0.0 if both are empty."""
+    return max((abs(A.get(k, 0j) - B.get(k, 0j)) for k in A.keys() | B.keys()), default=0.0)
 
 
 def translate(D: DirichletSeries, sigma: float) -> DirichletSeries:

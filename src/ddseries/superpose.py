@@ -46,17 +46,19 @@ def degree_bound(p: float, q: float) -> int:
 @dataclass
 class YoungReport:
     holds: bool
-    lhs: NormEstimate  # moment estimate of ||P^k||_q^q
-    rhs: NormEstimate  # moment estimate of ||P||_p^p
+    lhs: NormEstimate  # estimate of ||P^k||_q, its q-th moment alongside
+    rhs: NormEstimate  # estimate of ||P||_p, its p-th moment alongside
     slack: float
 
 
 def young_bound_verify(P: DirichletSeries, k: int, p: float, q: float,
                        samples: int, seed: int) -> YoungReport:
-    """Statistical check of ||P^k||_q^q <= ||P||_p^p for k*q <= p.
+    """Statistical check of ||P^k||_q <= ||P||_p^k for k*q <= p.
 
-    Both sides are Monte Carlo moments; the comparison allows 3 combined
-    standard errors plus an absolute slack of 1e-3.
+    ||P^k||_q = ||P||_{kq}^k, and the torus measure is a probability, so
+    Hoelder gives ||P||_{kq} <= ||P||_p.  Both norms are Monte Carlo
+    estimates; the comparison allows 3 standard errors of each side (that of
+    ||P||_p^k by the delta method) plus an absolute slack of 1e-3.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -68,8 +70,8 @@ def young_bound_verify(P: DirichletSeries, k: int, p: float, q: float,
         Pk = mul(Pk, P, trunc)
     lhs = hp_norm_estimate(Pk, q, samples, seed)
     rhs = hp_norm_estimate(P, p, samples, seed + 1)
-    budget = 3.0 * (lhs.moment_stderr + rhs.moment_stderr) + 1e-3
-    slack = rhs.moment + budget - lhs.moment
+    budget = 3.0 * (lhs.stderr + k * rhs.value ** (k - 1) * rhs.stderr) + 1e-3
+    slack = rhs.value ** k + budget - lhs.value
     return YoungReport(slack >= 0.0, lhs, rhs, slack)
 
 

@@ -207,6 +207,13 @@ class TestCharPowerViaFactorizations:
             want = (-b * math.log(k)) ** 2 / 2
             assert abs(D.coefficient(4, 1) - want) < 1e-15
 
+    def test_large_constant_raises(self):
+        # as exp2 does: -ln 2 * -2000 = 1386.29... overflows exp
+        phi = make_double_series([((1, 1), -2000 + 0j), ((2, 1), 1 + 0j)], (4, 4))
+        with pytest.raises(ValueError, match=r"^exp of the constant term "
+                                             r"\(1386\.2943611198905-0j\) overflows$"):
+            char_power_via_factorizations(2, phi, (4, 4))
+
 
 class TestApply:
     def test_monomial_slope(self):

@@ -16,7 +16,7 @@ from ddseries.double import (
     scale2,
     zero_double,
 )
-from ddseries.series import add, make_series, mul
+from ddseries.series import add, evaluate, make_series, mul
 
 
 def random_double(rng, bound=12, n_terms=6):
@@ -193,3 +193,33 @@ class TestPartialSumsAndRegularity:
         D = random_double(random.Random(41))
         rep = regular_check(D, 1, 1)
         assert rep["max_deviation"] < 1e-13
+
+
+class TestPointOverflow:
+    """evaluate2, and regular_check through it, refuse an overflowing value."""
+
+    D = make_double_series([((1, 1), 1 + 0j), ((1, 2), 1 + 0j)], (4, 4))
+
+    def test_evaluate2_raises(self):
+        with pytest.raises(ValueError, match=r"^the value at \(1, -2000\) overflows$"):
+            evaluate2(self.D, 1, -2000)
+
+    def test_regular_check_raises(self):
+        with pytest.raises(ValueError, match=r"overflows$"):
+            regular_check(self.D, 1, -2000)
+
+
+def test_summation_orders_are_the_nested_sums():
+    """row_first and column_first are the sums over sorted rows (columns) of
+    the row (column) values times m^{-s} (n^{-t}), to rounding."""
+    D = random_double(random.Random(43))
+    s, t = 0.3 + 2j, 0.7 - 1j
+    rows = sorted({m for m, _ in D.terms})
+    cols = sorted({n for _, n in D.terms})
+    by_rows = sum(evaluate(row_series(D, m), t) * m ** -s for m in rows)
+    by_cols = sum(evaluate(make_series([(m, a) for (m, nn), a in D.terms.items() if nn == n],
+                                       D.truncations[0]), s) * n ** -t for n in cols)
+    rep = regular_check(D, s, t)
+    assert abs(rep["row_first"] - by_rows) <= 1e-15 * D.l1_norm()
+    assert abs(rep["column_first"] - by_cols) <= 1e-15 * D.l1_norm()
+    assert rep["total"] == evaluate2(D, s, t)

@@ -355,6 +355,15 @@ class TestCliCommands:
         assert code == 0
         assert capsys.readouterr().out.startswith("check young-slack pass")
 
+    def test_check_young_small_polynomial(self, tmp_path, capsys):
+        # ||P^2||_1 <= ||P||_4^2 holds although ||P^2||_1 > ||P||_4^4
+        src = tmp_path / "d.txt"
+        src.write_text("0.5 + 0.25*2^-s\n")
+        code = main(["check-young", "--in", str(src), "--k", "2", "--p", "4", "--q", "1",
+                     "--seed", "0"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("check young-slack pass")
+
     def test_check_suplines(self, tmp_path, capsys):
         src = tmp_path / "d.txt"
         src.write_text("2^-s")
@@ -472,6 +481,11 @@ class TestCliOverflow:
          "error: non-finite coefficient: (inf+0j)\n"),
         (["compose", "--symbol", "{sym}"], "2^-s",
          "error: exp of the constant term (1386.2943611198905-0j) overflows\n"),
+        # a point value that overflows: a term, a sum, a term of a double series
+        (["eval", "--s", "-2000"], "1 + 2^-s", "error: the value at (-2000+0j) overflows\n"),
+        (["eval", "--s", "-30"], "1e300*2^-s", "error: the value at (-30+0j) overflows\n"),
+        (["eval", "--s", "1", "--t", "-2000"], "1 + 2^-t",
+         "error: the value at ((1+0j), (-2000+0j)) overflows\n"),
     ])
     def test_exit_2(self, tmp_path, capsys, argv, text, err):
         sym = tmp_path / "sym.txt"
@@ -483,6 +497,17 @@ class TestCliOverflow:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == err
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest"], ["check-symbol", "--symbol", "s.txt"], ["check-compact", "--symbol", "s.txt"],
+])
+def test_ignored_trunc_is_refused(argv, capsys):
+    """The commands that read no series take no --trunc."""
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["--trunc", "8"])
+    assert "unrecognized arguments: --trunc 8" in capsys.readouterr().err
 
 
 class TestCliLimits:

@@ -191,6 +191,26 @@ class TestEvaluate:
         assert abs(evaluate(D, 2) - naive) < 1e-12
 
 
+class TestEvaluateOverflow:
+    """A point value that overflows raises ValueError naming the point."""
+
+    def test_term_overflows(self):
+        D = make_series([(1, 1), (2, 1)], 4)
+        with pytest.raises(ValueError, match=r"^the value at \(-2000\+0j\) overflows$"):
+            evaluate(D, complex(-2000))
+
+    def test_sum_overflows(self):
+        # 2^30 is finite, 1e300 * 2^30 is not
+        with pytest.raises(ValueError, match=r"^the value at \(-30\+0j\) overflows$"):
+            evaluate(make_series([(2, 1e300)], 4), complex(-30))
+
+    def test_large_finite_value_kept(self):
+        assert evaluate(make_series([(1, 1e300), (2, 1e300)], 4), 0) == 2e300
+
+    def test_zero_series_value_is_complex(self):
+        assert type(evaluate(zero_series(4), 2)) is complex
+
+
 class TestTranslate:
     def test_simple(self):
         D = translate(make_series([(2, 1)], 4), 1)

@@ -105,6 +105,24 @@ class TestYoungBound:
         with pytest.raises(ValueError):
             young_bound_verify(constant_series(1, 1), 2, 3, 2, 100, 0)
 
+    def test_small_polynomial(self):
+        # ||P^2||_1 = ||P||_2^2 = 0.3125 <= ||P||_4^2 = 0.1289^(1/2) = 0.359,
+        # though ||P^2||_1 > ||P||_4^4 = 0.1289: the bound is on norms
+        P = make_series([(1, 0.5), (2, 0.25)], 2)
+        rep = young_bound_verify(P, 2, 4.0, 1.0, 20_000, 0)
+        assert rep.holds
+        assert abs(rep.lhs.value - 0.3125) <= 4 * rep.lhs.stderr
+        assert abs(rep.rhs.moment - 0.12890625) <= 4 * rep.rhs.moment_stderr
+
+    def test_norms_compared_for_every_exponent(self):
+        # Hoelder on the torus: the bound holds whatever the size of P
+        rng = random.Random(7)
+        for i in range(20):
+            P = scale(random_series(rng, max_index=6, n_terms=3), rng.uniform(0.05, 2.0))
+            k = rng.randint(1, 3)
+            q = rng.choice([1.0, 2.0])
+            assert young_bound_verify(P, k, k * q * rng.choice([1.0, 1.5, 2.0]), q, 4000, i).holds
+
 
 class TestSuperposeEntire:
     def test_exponential_matches_formal_exp(self):
