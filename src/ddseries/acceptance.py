@@ -26,7 +26,7 @@ from .analyze import (
 )
 from .bohr import (
     PrimePolynomial,
-    hp_norm_estimate,
+    _hp_sampled,
     lift,
     unlift,
 )
@@ -250,13 +250,15 @@ def check_bohr_isomorphism(seed: int = 606) -> CheckResult:
 
 
 def check_parseval(seed: int = 707) -> CheckResult:
-    """H^2 moment against the coefficient l2 sum, within 3 standard errors."""
+    """The Monte Carlo H^2 moment (the sampler that hp_norm_estimate falls
+    back to; its exact route would compare l2 sums with themselves) against
+    the coefficient l2 sum, within 3 standard errors."""
     rng = np.random.default_rng(seed)
     worst_sigmas = 0.0
     worst_rel_se = 0.0
     for i in range(20):
         D = _random_poly(rng, n_terms=6, max_index=32)
-        est = hp_norm_estimate(D, 2.0, 100_000, seed * 1000 + i)
+        est = _hp_sampled(D, 2.0, 100_000, seed * 1000 + i)
         exact = sum(abs(c) ** 2 for c in D.terms.values())
         if est.moment_stderr > 0:
             worst_sigmas = max(worst_sigmas, abs(est.moment - exact) / est.moment_stderr)

@@ -8,7 +8,10 @@ or input error.
 
 Only `norm`, `coeff`, `check-young`, `check-suplines` and `selftest`
 compute numerically, and only they load numpy: the verifier and
-acceptance modules are imported inside the handlers that use them.
+acceptance modules are imported inside the handlers that use them.  `norm`
+at an even --p, and `check-young` where kq and p are even, take the exact
+route in plain Python unless the power it builds is too large (see
+bohr.hp_norm_estimate), and load none then.
 """
 
 from __future__ import annotations
@@ -45,18 +48,31 @@ from .superpose import young_bound_verify
 # has terms) and --panels a vector of this many nodes; a larger value is
 # refused before anything is allocated
 MAX_POINTS = 10**6
+# --trunc bounds the indices a product or a composition may reach, and so
+# how many it can fill: the indices 2^a 3^b that the symbol 2^-s + 3^-s
+# generates number 1,303 up to this ceiling, and about 3.5 million up to a
+# bound of a thousand digits, which int() still reads.  A larger --trunc is
+# refused before anything is read; every index the prime table can lift
+# is far below it.
+MAX_TRUNC = 2**63 - 1
 
 
 class UsageError(ValueError):
     pass
 
 
-def _count(text: str) -> int:
-    """An integer flag that sizes an array: at most MAX_POINTS."""
-    n = int(text)
-    if n > MAX_POINTS:
-        raise argparse.ArgumentTypeError("%d is above the ceiling %d" % (n, MAX_POINTS))
-    return n
+def _at_most(ceiling: int):
+    """The argparse type of an integer flag that takes at most ceiling."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n > ceiling:
+            raise argparse.ArgumentTypeError("%d is above the ceiling %d" % (n, ceiling))
+        return n
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_count = _at_most(MAX_POINTS)  # a flag that sizes an array
 
 
 def _read(path: str | None) -> str:
@@ -250,7 +266,8 @@ def _add_io(p, with_in=True, with_trunc=True):
         p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     if with_trunc:
-        p.add_argument("--trunc", type=int, default=64, help="series truncation (default 64)")
+        p.add_argument("--trunc", type=_at_most(MAX_TRUNC), default=64,
+                       help="series truncation (default 64, at most 2^63 - 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("three", help="series of 3^{-symbol}")
     p.set_defaults(fn=_cmd_recover_symbol)
 
-    p = sub.add_parser("norm", help="Monte Carlo H^p norm estimate")
+    p = sub.add_parser("norm", help="H^p norm: exact at an even p, else Monte Carlo")
     _add_io(p)
     p.add_argument("--p", required=True, help="exponent >= 1, or 'inf'")
     p.add_argument("--samples", type=_count, default=100_000, help="at most 10^6")
@@ -318,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-re", dest="min_re", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_check_compact)
 
-    p = sub.add_parser("check-young", help="statistical moment-inequality check")
+    p = sub.add_parser("check-young", help="check of ||P^k||_q <= ||P||_p^k, kq <= p")
     _add_io(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=float, required=True)

@@ -64,6 +64,30 @@ def test_parseval():
     assert r.passed, r.detail
 
 
+class _Seen(Exception):
+    pass
+
+
+def test_parseval_samples_the_torus(monkeypatch):
+    """The parseval check times the Monte Carlo H^2 moment: an estimate
+    with zero stderr (the exact route) would compare l2 sums with themselves
+    and leave its stderr cap nothing to test.  The check stops at its first
+    estimate, whichever function makes it."""
+    from ddseries import bohr
+
+    real = bohr.NormEstimate
+
+    def first(*args):
+        raise _Seen(real(*args))
+
+    monkeypatch.setattr(bohr, "NormEstimate", first)
+    with pytest.raises(_Seen) as seen:
+        acceptance.check_parseval()
+    est = seen.value.args[0]
+    assert est.kind == "hp"
+    assert est.moment_stderr > 0
+
+
 def test_young():
     r = _run("young")
     assert r.passed, r.detail

@@ -12,7 +12,9 @@ from ddseries.bohr import (
     TorusSample,
     _ascend,
     _climb,
+    _even_moment,
     _exponent_matrix,
+    _hp_sampled,
     eval_torus,
     hinf_norm_estimate,
     hp_norm_estimate,
@@ -140,7 +142,7 @@ class TestHpNorm:
     def test_parseval_two_terms(self):
         a, b = 1.0, 0.7
         D = make_series([(1, a), (2, b)], 4)
-        est = hp_norm_estimate(D, 2.0, 50_000, 42)
+        est = _hp_sampled(D, 2.0, 50_000, 42)
         exact = math.sqrt(a * a + b * b)
         assert abs(est.moment - exact**2) <= 3 * est.moment_stderr
 
@@ -152,14 +154,14 @@ class TestHpNorm:
         oracle = np.trapezoid(
             np.abs(1 + np.exp(2j * np.pi * thetas)) ** 4, thetas
         )
-        est = hp_norm_estimate(D, 4.0, 100_000, 7)
+        est = _hp_sampled(D, 4.0, 100_000, 7)
         assert abs(est.moment - oracle) <= 3 * est.moment_stderr
 
     def test_monotone_in_p(self):
         rng = random.Random(13)
         D = random_series(rng, 16, 4)
-        e2 = hp_norm_estimate(D, 2.0, 20_000, 1)
-        e4 = hp_norm_estimate(D, 4.0, 20_000, 2)
+        e2 = _hp_sampled(D, 2.0, 20_000, 1)
+        e4 = _hp_sampled(D, 4.0, 20_000, 2)
         assert e2.value <= e4.value + 3 * (e2.stderr + e4.stderr)
 
     def test_deterministic_given_seed(self):
@@ -167,6 +169,107 @@ class TestHpNorm:
         a = hp_norm_estimate(D, 3.0, 1000, 9)
         b = hp_norm_estimate(D, 3.0, 1000, 9)
         assert a == b
+
+
+def _brute_power(terms, k):
+    """The untruncated k-th power of a term map, every pair product taken:
+    an index is n or a pair (m, n), multiplied componentwise."""
+    def times(a, b):
+        return a * b if isinstance(a, int) else (a[0] * b[0], a[1] * b[1])
+
+    out = dict(terms)
+    for _ in range(k - 1):
+        nxt = {}
+        for d, a in out.items():
+            for e, b in terms.items():
+                key = times(d, e)
+                nxt[key] = nxt.get(key, 0j) + a * b
+        out = nxt
+    return out
+
+
+def _random_double(rng, max_index=12, n_terms=5):
+    idx = rng.sample([(m, n) for m in range(1, max_index + 1) for n in range(1, max_index + 1)],
+                     n_terms)
+    return make_double_series(
+        [(mn, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for mn in idx],
+        (max_index, max_index))
+
+
+class TestExactMoments:
+    """An even p within the budget is exact: ||D||_p^p = ||D^{p/2}||_2^2."""
+
+    @pytest.mark.parametrize("double", [False, True])
+    def test_against_a_brute_force_power(self, double):
+        rng = random.Random(23 + double)
+        for _ in range(300):
+            n_terms = rng.randint(1, 7)
+            D = (_random_double(rng, 12, n_terms) if double
+                 else random_series(rng, 64, n_terms))
+            for p in (2, 4, 6, 8):
+                est = hp_norm_estimate(D, float(p), 10**6, 0)
+                want = sum(abs(c) ** 2 for c in _brute_power(D.terms, p // 2).values())
+                assert est.kind == "hp-exact"
+                assert est.moment == pytest.approx(want, rel=1e-12)
+                assert est.value == pytest.approx(want ** (1 / p), rel=1e-12)
+                assert est.stderr == est.moment_stderr == 0.0
+
+    def test_within_the_sampled_errors(self):
+        rng = random.Random(31)
+        for seed in range(5):
+            D = random_series(rng, 32, 6)
+            for p in (2.0, 4.0):
+                exact, sampled = hp_norm_estimate(D, p, 4000, seed), _hp_sampled(D, p, 4000, seed)
+                assert (exact.kind, sampled.kind) == ("hp-exact", "hp")
+                assert abs(exact.moment - sampled.moment) <= 5 * sampled.moment_stderr
+
+    def test_budget_is_the_pair_products_of_the_power(self):
+        rng = random.Random(37)
+        for D in (random_series(rng, 64, 9), _random_double(rng, 12, 9)):
+            for k in (2, 3, 4):
+                # the product by D of D^j takes |D^j| * |D| pairs
+                pairs = sum(len(_brute_power(D.terms, j)) * len(D.terms) for j in range(1, k))
+                assert _even_moment(D, k, pairs) == pytest.approx(
+                    sum(abs(c) ** 2 for c in _brute_power(D.terms, k).values()), rel=1e-12)
+                assert _even_moment(D, k, pairs - 1) is None
+
+    def test_over_the_budget_falls_back_to_the_sampler(self):
+        D = random_series(random.Random(41), 64, 16)
+        pairs = sum(len(_brute_power(D.terms, j)) * len(D.terms) for j in range(1, 4))
+        # samples * terms / 8 pair products: the budget at these samples
+        inside = -(-pairs * bohr._PAIR_COST // len(D.terms))
+        assert hp_norm_estimate(D, 8.0, inside, 3).kind == "hp-exact"
+        est = hp_norm_estimate(D, 8.0, inside - 1, 3)
+        assert est.kind == "hp"
+        assert est == _hp_sampled(D, 8.0, inside - 1, 3)
+
+    def test_double_series_on_the_first_axis_is_its_single_series(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            D = random_series(rng, 48, rng.randint(1, 6))
+            for p in (2.0, 4.0, 6.0):
+                single = hp_norm_estimate(D, p, 1000, 0)
+                double = hp_norm_estimate(embed_single(D), p, 1000, 0)
+                assert single.kind == double.kind == "hp-exact"
+                assert double.moment == pytest.approx(single.moment, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_no_samples_is_refused_on_both_routes(self, p):
+        for D in (make_series([(1, 1), (2, 0.5)], 4),
+                  make_double_series([((1, 1), 1), ((2, 3), 0.5)], (4, 4))):
+            with pytest.raises(ValueError, match="^samples must be >= 1$"):
+                hp_norm_estimate(D, p, 0, 0)
+
+    def test_zero_series(self):
+        for D in (zero_series(8), make_double_series([], (4, 4))):
+            for p in (2.0, 4.0, 8.0):
+                est = hp_norm_estimate(D, p, 10, 0)
+                assert (est.value, est.moment, est.kind) == (0.0, 0.0, "hp-exact")
+
+    def test_an_odd_or_fractional_p_is_sampled(self):
+        D = make_series([(1, 1), (2, 0.5)], 4)
+        for p in (1.0, 3.0, 2.5):
+            assert hp_norm_estimate(D, p, 100, 0) == _hp_sampled(D, p, 100, 0)
 
 
 class TestHinfNorm:
@@ -346,7 +449,7 @@ class TestDoubleTorusNorms:
 
     def test_parseval_for_a_double_series(self):
         D = make_double_series([((1, 1), 1.0), ((2, 3), 0.5j), ((4, 1), -0.25)], (4, 4))
-        est = hp_norm_estimate(D, 2.0, 20000, 4)
+        est = _hp_sampled(D, 2.0, 20000, 4)
         assert est.moment == pytest.approx(1 + 0.25 + 0.0625, abs=4 * est.moment_stderr)
 
     def test_exponent_columns_stack_alpha_then_beta(self):

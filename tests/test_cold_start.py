@@ -37,8 +37,9 @@ EXPORTS = ANALYZE + (
     "ParseError", "parse_expression", "print_expression",
 )
 
-# subcommand -> its arguments, {name} standing for an input file of the
-# `inputs` fixture, and whether it loads numpy
+# subcommand (with a label after it where one runs twice) -> its arguments,
+# {name} standing for an input file of the `inputs` fixture, and whether it
+# loads numpy: an even --p within the exact route's budget samples nothing
 COMMANDS = {
     "eval": (["--in", "{d}", "--s", "2"], False),
     "mul": (["{d}", "{d}"], False),
@@ -48,7 +49,10 @@ COMMANDS = {
     "recover-symbol": (["{two}", "{three}"], False),
     "check-symbol": (["--symbol", "{sym}"], False),
     "check-compact": (["--symbol", "{sym2}"], False),
-    "norm": (["--in", "{d}", "--p", "2", "--samples", "64", "--seed", "1"], True),
+    "norm": (["--in", "{d}", "--p", "2", "--samples", "64", "--seed", "1"], False),
+    "norm --p 4": (["--in", "{d}", "--p", "4", "--samples", "64", "--seed", "1"], False),
+    "norm --p 3": (["--in", "{d}", "--p", "3", "--samples", "64", "--seed", "1"], True),
+    "check-young": (["--in", "{d}", "--k", "2", "--p", "4", "--q", "1", "--seed", "1"], False),
 }
 
 
@@ -73,7 +77,7 @@ def inputs(tmp_path):
 @pytest.mark.parametrize("sub", COMMANDS)
 def test_only_numerical_commands_load_numpy(sub, inputs):
     args, numerical = COMMANDS[sub]
-    argv = [sub] + [a.format(**inputs) for a in args] + ["--out", inputs["out"]]
+    argv = sub.split()[:1] + [a.format(**inputs) for a in args] + ["--out", inputs["out"]]
     code = "import sys\nfrom ddseries.cli import main\nprint(main(%r), 'numpy' in sys.modules)"
     assert run_fresh(code % argv) == "0 %s" % numerical
     with open(inputs["out"], encoding="utf-8") as fh:

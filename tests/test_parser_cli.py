@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ddseries.cli import MAX_POINTS, build_parser, main
+from ddseries.cli import MAX_POINTS, MAX_TRUNC, build_parser, main
 from ddseries.double import DoubleDirichletSeries, make_double_series
 from ddseries.formats import dumps_series, dumps_symbol, loads_series
 from ddseries.compose import Symbol
@@ -301,6 +301,15 @@ class TestCliCommands:
         assert outs[0] == outs[1]
         assert json.loads(outs[1])["samples"] == 2000
 
+    @pytest.mark.parametrize("p, kind", [("2", "hp-exact"), ("4", "hp-exact"), ("3", "hp")])
+    def test_norm_kind_names_the_route(self, tmp_path, capsys, p, kind):
+        src = tmp_path / "d.txt"
+        src.write_text("1 + 0.5*2^-s")
+        assert main(["norm", "--in", str(src), "--p", p, "--samples", "2000", "--seed", "1"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["kind"] == kind
+        assert (rec["moment_stderr"] == 0.0) == (kind == "hp-exact")
+
     def test_norm_requires_seed(self, tmp_path):
         src = tmp_path / "d.txt"
         src.write_text("1 + 2^-s")
@@ -450,6 +459,20 @@ class TestCliCommands:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "bohr v1 single\n78498:1 1.0 0.0\n"
 
+
+# every command that reads --trunc, with its other required flags; x.txt
+# stands for an input file
+TRUNC_COMMANDS = [
+    ["eval", "--in", "x.txt", "--s", "1"],
+    ["mul", "x.txt", "x.txt"],
+    ["compose", "--in", "x.txt", "--symbol", "x.txt"],
+    ["lift", "--in", "x.txt"],
+    ["unlift", "--in", "x.txt"],
+    ["norm", "--in", "x.txt", "--p", "2", "--seed", "1"],
+    ["coeff", "--in", "x.txt", "--j", "2"],
+    ["check-young", "--in", "x.txt", "--k", "2", "--p", "4", "--q", "2", "--seed", "1"],
+    ["check-suplines", "--in", "x.txt", "--sigma", "0.5", "--eta", "1.5"],
+]
 
 # float flags outside the range where their value is used; {sym}, {sym2}
 # and {d} stand for a one-variable symbol, a two-variable one and a series
@@ -614,6 +637,22 @@ class TestCliLimits:
     def test_sizing_flag_at_its_ceiling_parses(self, argv):
         args = build_parser().parse_args(argv + [str(MAX_POINTS)])
         assert MAX_POINTS in vars(args).values()
+
+    @pytest.mark.parametrize("argv", TRUNC_COMMANDS)
+    def test_trunc_above_its_ceiling(self, tmp_path, capsys, argv):
+        """Refused before any input is read: the files named do not exist."""
+        argv = [str(tmp_path / "missing.txt") if a == "x.txt" else a for a in argv]
+        assert main(argv + ["--trunc", str(MAX_TRUNC + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(
+            ": %d is above the ceiling %d" % (MAX_TRUNC + 1, MAX_TRUNC))
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", TRUNC_COMMANDS)
+    def test_trunc_at_its_ceiling_parses(self, argv):
+        assert build_parser().parse_args(argv + ["--trunc", str(MAX_TRUNC)]).trunc == MAX_TRUNC
 
     def test_compose2_is_gone(self):
         with pytest.raises(SystemExit):

@@ -2,8 +2,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+from ddseries.bohr import _hp_sampled
 from ddseries.series import (
     constant_series,
     evaluate,
@@ -105,14 +107,53 @@ class TestYoungBound:
         with pytest.raises(ValueError):
             young_bound_verify(constant_series(1, 1), 2, 3, 2, 100, 0)
 
+    def test_rejects_q_below_one(self):
+        # the lhs is estimated at kq = 1, but ||P^2||_0.5 is no norm
+        with pytest.raises(ValueError, match="1 <= q"):
+            young_bound_verify(constant_series(1, 1), 2, 2, 0.5, 100, 0)
+
     def test_small_polynomial(self):
         # ||P^2||_1 = ||P||_2^2 = 0.3125 <= ||P||_4^2 = 0.1289^(1/2) = 0.359,
-        # though ||P^2||_1 > ||P||_4^4 = 0.1289: the bound is on norms
+        # though ||P^2||_1 > ||P||_4^4 = 0.1289: the bound is on norms.  kq = 2
+        # and p = 4 are even, so both sides are exact
         P = make_series([(1, 0.5), (2, 0.25)], 2)
         rep = young_bound_verify(P, 2, 4.0, 1.0, 20_000, 0)
         assert rep.holds
-        assert abs(rep.lhs.value - 0.3125) <= 4 * rep.lhs.stderr
-        assert abs(rep.rhs.moment - 0.12890625) <= 4 * rep.rhs.moment_stderr
+        assert rep.lhs.kind == rep.rhs.kind == "hp-exact"
+        assert rep.lhs.value == pytest.approx(0.3125, rel=1e-12)
+        assert rep.rhs.moment == pytest.approx(0.12890625, rel=1e-12)
+
+    def test_small_polynomial_sampled_at_an_odd_exponent(self):
+        # ||P^3||_1 = ||P||_3^3 <= ||P||_4.5^3, though ||P||_3^3 > ||P||_4.5^4.5;
+        # kq = 3 and p = 4.5 are not even, so both sides are sampled.  The
+        # lift of P is 0.5 + 0.25 z, one circle variable: a 1-D trapezoid
+        # rule is the oracle
+        P = make_series([(1, 0.5), (2, 0.25)], 2)
+        thetas = np.linspace(0.0, 1.0, 20001)
+        values = np.abs(0.5 + 0.25 * np.exp(2j * np.pi * thetas))
+        rep = young_bound_verify(P, 3, 4.5, 1.0, 20_000, 0)
+        assert rep.holds
+        assert rep.lhs.kind == rep.rhs.kind == "hp"
+        assert abs(rep.lhs.value - np.trapezoid(values ** 3, thetas)) <= 4 * rep.lhs.stderr
+        assert abs(rep.rhs.moment - np.trapezoid(values ** 4.5, thetas)) <= (
+            4 * rep.rhs.moment_stderr)
+
+    def test_sampled_side_takes_the_torus_points_of_the_power(self):
+        # |P^k|^q = |P|^{kq} pointwise: with kq = 1.5k never even, the lhs is
+        # the estimate of P^k at q from the same samples
+        rng = random.Random(5)
+        for i in range(10):
+            P = random_series(rng, max_index=12, n_terms=4)
+            k = rng.randint(1, 3)
+            rep = young_bound_verify(P, k, 1.5 * k, 1.5, 2000, i)
+            Pk = P
+            for _ in range(k - 1):
+                Pk = mul(Pk, P, 12**k)
+            want = _hp_sampled(Pk, 1.5, 2000, i)
+            assert rep.lhs.kind == "hp"
+            assert rep.lhs.moment == pytest.approx(want.moment, rel=1e-12)
+            assert rep.lhs.value == pytest.approx(want.value, rel=1e-12)
+            assert rep.lhs.stderr == pytest.approx(want.stderr, rel=1e-9)
 
     def test_norms_compared_for_every_exponent(self):
         # Hoelder on the torus: the bound holds whatever the size of P
