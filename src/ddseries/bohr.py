@@ -165,7 +165,8 @@ def _exponent_matrix(P):
 
 # the ascent runs from this many of the best torus samples, or from fewer
 # when a series is so large that one Hessian (terms x dimensions^2
-# multiply-adds) times the starts would pass _ASCENT_WORK
+# multiply-adds, a dimension being a prime column some term uses) times the
+# starts would pass _ASCENT_WORK
 _TORUS_STARTS = 64
 _ASCENT_WORK = 1 << 24
 # a start stops when its step is below this, or its damping above the next
@@ -247,7 +248,11 @@ def _climb(F, c, points, values, count, also=None):
     where; never less than the best sample."""
     import numpy as np
 
-    starts = points[np.argsort(values)[-count:]]
+    # the count largest values, sorted only among themselves
+    top = np.arange(len(values))
+    if count < len(values):
+        top = np.argpartition(values, -count)[-count:]
+    starts = points[top[np.argsort(values[top])]]
     if also is not None:
         starts = np.vstack([starts, also])
     climbed, arg = _ascend(F, c, starts)
@@ -348,7 +353,11 @@ def _hp_sampled(D, p: float, samples: int, seed: int) -> NormEstimate:
 
 def hinf_norm_estimate(D, samples: int, seed: int) -> NormEstimate:
     """Lower bound on the H^infty norm: uniform torus samples, then _climb
-    from the best of them.
+    from the best of them over the prime columns that some term uses (the
+    alpha columns, then the beta columns of a double series).  f does not
+    depend on a column no term uses, so the ascent would leave it where it
+    starts; dropping it changes only the rounding of the steps, though a
+    start far from a maximum may then end at another local maximum.
 
     The value is the larger of the best sample and the ascent; the true
     norm lies between it and the attached coefficient-l1 bound `upper`.
@@ -356,6 +365,8 @@ def hinf_norm_estimate(D, samples: int, seed: int) -> NormEstimate:
     import numpy as np
 
     phases, values, E, coeffs = _torus_values(D, samples, seed)
+    used = E.any(axis=0)
+    phases, E = phases[:, used], E[:, used]
     count = min(_TORUS_STARTS, max(1, _ASCENT_WORK // max(1, E.shape[0] * E.shape[1]**2)))
     value, _ = _climb(2 * np.pi * E, coeffs, phases, np.abs(values), count)
     return NormEstimate(value, 0.0, samples, seed, "hinf-lower", upper=float(D.l1_norm()))
