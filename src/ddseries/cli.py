@@ -57,10 +57,6 @@ MAX_POINTS = 10**6
 MAX_TRUNC = 2**63 - 1
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _at_most(ceiling: int):
     """The argparse type of an integer flag that takes at most ceiling."""
     def parse(text: str) -> int:
@@ -90,23 +86,20 @@ def _write(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _load_series(text: str, trunc: int):
-    """Format text when it starts with the format header, expression otherwise."""
-    stripped = text.lstrip()
-    if stripped.startswith("dirichlet"):
+def _read_series(path: str | None, trunc: int):
+    """The series read from path (see _read): format text when it starts
+    with the format header, an expression otherwise."""
+    text = _read(path)
+    if text.lstrip().startswith("dirichlet"):
         return loads_series(text)
     return parse_expression(text, trunc)
-
-
-def _read_series(path: str | None, trunc: int):
-    return _load_series(_read(path), trunc)
 
 
 def _read_single(path: str | None, args):
     """A single series, for the commands that take no double one."""
     D = _read_series(path, args.trunc)
     if not isinstance(D, DirichletSeries):
-        raise UsageError("%s works on single series" % args.command)
+        raise ValueError("%s works on single series" % args.command)
     return D
 
 
@@ -114,9 +107,9 @@ def _parse_complex(text: str) -> complex:
     try:
         z = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError:
-        raise UsageError("cannot parse complex number %r" % text)
+        raise ValueError("cannot parse complex number %r" % text) from None
     if not cmath.isfinite(z):
-        raise UsageError("point %r is not finite" % text)
+        raise ValueError("point %r is not finite" % text)
     return z
 
 
@@ -125,7 +118,7 @@ def _cmd_eval(args) -> int:
     s = _parse_complex(args.s)
     if isinstance(D, DoubleDirichletSeries):
         if args.t is None:
-            raise UsageError("double series needs --t")
+            raise ValueError("double series needs --t")
         v = evaluate2(D, s, _parse_complex(args.t))
     else:
         v = evaluate(D, s)
@@ -148,8 +141,6 @@ def _cmd_mul(args) -> int:
 def _cmd_compose(args) -> int:
     sym = loads_symbol(_read(args.symbol))
     D = _read_series(args.infile, args.trunc)
-    if len(sym.phis) != len(D.truncations):
-        raise UsageError("the symbol and the series differ in the number of variables")
     _write(args.out, dumps_series(apply(sym, D, (args.trunc,) * len(sym.phis))))
     return 0
 
@@ -215,7 +206,7 @@ def _cmd_check_symbol(args) -> int:
 def _cmd_check_compact(args) -> int:
     sym = loads_symbol(_read(args.symbol))
     if len(sym.phis) != 2:
-        raise UsageError("check-compact needs a two-variable symbol")
+        raise ValueError("check-compact needs a two-variable symbol")
     rep = compactness_check(sym, boundary_grid2(args.min_re))
     line = check_line("compactness-delta", rep.compact, rep.delta, 1e-4)
     _write(args.out, line + "\n")
@@ -248,10 +239,7 @@ def _cmd_selftest(args) -> int:
     from . import acceptance
 
     names = args.only.split(",") if args.only else None
-    try:
-        results = acceptance.run_all(names)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    results = acceptance.run_all(names)
     lines = []
     for r in results:
         lines.append(check_line(r.name, r.passed, r.value, r.tolerance))

@@ -154,7 +154,9 @@ def _char_power(ks, sym: Symbol, truncations: tuple):
 
     Its slope part prod_i k_i^{-(C z)_i} multiplies every index on axis j
     by prod_i k_i^{C_ij}; exp being a homomorphism, the rest is one exp of
-    -sum_i ln k_i * phi_i on the truncations left after that shift.
+    -sum_i ln k_i * phi_i on the truncations left after that shift.  Only
+    the terms of phi_i within those inner truncations are scaled and summed
+    (see _log_term): no other term can reach an index in range.
     """
     if len(ks) != len(sym.phis) or min(ks) < 1:
         raise ValueError("char_power takes %d base(s) k >= 1" % len(sym.phis))
@@ -163,7 +165,7 @@ def _char_power(ks, sym: Symbol, truncations: tuple):
     if 0 in inner:  # a shift beyond its truncation leaves no index in range
         return _make((), truncations)
     # one component is its own sum: add2 runs in two variables only
-    log_char = functools.reduce(add2, (scale(type(phi)(phi.terms, _key(inner)), -math.log(k))
+    log_char = functools.reduce(add2, (type(phi)(_log_term(phi, k, inner), _key(inner))
                                        for k, phi in zip(ks, sym.phis)))
     if len(ks) == 1:
         (shift,) = shifts
@@ -172,6 +174,19 @@ def _char_power(ks, sym: Symbol, truncations: tuple):
         sm, sn = shifts
         terms = {(m * sm, n * sn): v for (m, n), v in exp2(log_char, inner).terms.items()}
     return type(log_char)(terms, _key(truncations))
+
+
+def _log_term(phi, k: int, inner: tuple) -> dict:
+    """The terms of -ln k * phi on the indices within inner, formed and
+    pruned as scale forms and prunes them, so that every bit (signed zeros
+    too) is scale's."""
+    # k = 1 gives -0.0 * phi, which scale prunes to nothing: no term is read
+    c, terms = complex(-math.log(k)), phi.terms if k > 1 else {}
+    if len(inner) == 2:
+        M, N = inner
+        return _pruned({(m, n): a * c for (m, n), a in terms.items() if m <= M and n <= N})
+    (N,) = inner
+    return _pruned({n: a * c for n, a in terms.items() if n <= N})
 
 
 def char_power(k: int, sym: Symbol, truncation: int) -> DirichletSeries:
@@ -185,9 +200,6 @@ def char_power_double(k: int, l: int, sym: Symbol, truncations) -> DoubleDirichl
     exp2 of -ln k * phi_1 - ln l * phi_2 with the slope shifts
     (m, n) -> (k^c1 l^c2 m, k^d1 l^d2 n) applied."""
     return _char_power((k, l), sym, tuple(truncations))
-
-
-scale_double = scale
 
 
 def exp2(phi: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
@@ -267,8 +279,12 @@ def char_power_via_factorizations(k: int, phi: DoubleDirichletSeries,
 def apply(sym, D, truncation):
     """The composition operator: the series of D(sym(s)), or of D(sym(s, t))
     for a symbol and a series in two variables, the truncation then being a
-    pair.  Colliding output indices accumulate."""
+    pair.  Colliding output indices accumulate.  A ValueError if the
+    symbol, the series and the truncation differ in the number of
+    variables."""
     truncs = _parts(truncation)
+    if not len(sym.phis) == len(D.truncations) == len(truncs):
+        raise ValueError("the symbol and the series differ in the number of variables")
     truncation = _key(truncs)
     # the public names, looked up now, so that a traced run counts the work
     power = char_power if len(truncs) == 1 else char_power_double

@@ -1,11 +1,14 @@
 import cmath
+import functools
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
 
 from ddseries.compose import (
+    _char_power,
     DoubleSymbol,
     Symbol,
     SymbolRecoveryError,
@@ -20,11 +23,12 @@ from ddseries.compose import (
     positivity_check,
     range_check,
     recover_symbol,
-    scale_double,
     validate_symbol,
 )
 from ddseries.bohr import PrimePolynomial
 from ddseries.double import (
+    _make,
+    add2,
     constant_double,
     evaluate2,
     make_double_series,
@@ -32,7 +36,19 @@ from ddseries.double import (
     zero_double,
 )
 from ddseries.grids import boundary_grid2, halfplane_grid, halfplane_grid2
-from ddseries.series import add, constant_series, evaluate, make_series, zero_series
+from ddseries.formats import dumps_series
+from ddseries.series import (
+    _key,
+    _parts,
+    _pruned,
+    add,
+    constant_series,
+    evaluate,
+    exp_series,
+    make_series,
+    scale,
+    zero_series,
+)
 
 
 def identity_symbol():
@@ -166,7 +182,7 @@ class TestCharPowerDouble:
         T = (16, 16)
         got = char_power_double(2, 3, DoubleSymbol(0, 0, 0, 0, phi1, phi2), T)
         want = mul2(
-            exp2(scale_double(phi1, -math.log(2)), T), exp2(scale_double(phi2, -math.log(3)), T), T
+            exp2(scale(phi1, -math.log(2)), T), exp2(scale(phi2, -math.log(3)), T), T
         )
         assert set(got.terms) == set(want.terms)
         assert all(abs(got.terms[x] - want.terms[x]) <= 1e-14 for x in want.terms)
@@ -182,7 +198,7 @@ class TestCharPowerDouble:
                 (16, 16),
             )
             k = rng.randint(2, 5)
-            a = exp2(scale_double(phi, -math.log(k)), (16, 16))
+            a = exp2(scale(phi, -math.log(k)), (16, 16))
             b = char_power_via_factorizations(k, phi, (16, 16))
             keys = set(a.terms) | set(b.terms)
             assert all(abs(a.terms.get(x, 0j) - b.terms.get(x, 0j)) <= 1e-12 for x in keys)
@@ -374,3 +390,143 @@ class TestBohrCommutation:
             )
             probes = [complex(2, v) for v in (-4, 0, 4)]
             assert bohr_commutation_check(sym, f, probes, 512) <= 1e-6
+
+
+def _reference_char_power(ks, sym, truncations):
+    """k^{-sym} as char_power built it when it scaled the whole of each
+    phi_i and summed the components with add2: the route that _char_power
+    must match bit for bit."""
+    shifts = [math.prod(map(pow, ks, column)) for column in zip(*sym.slopes)]
+    inner = tuple(map(operator.floordiv, truncations, shifts))
+    if 0 in inner:
+        return _make((), truncations)
+    log_char = functools.reduce(add2, (scale(type(phi)(phi.terms, _key(inner)), -math.log(k))
+                                       for k, phi in zip(ks, sym.phis)))
+    if len(ks) == 1:
+        E = exp_series(log_char, inner[0])
+        terms = {n * shifts[0]: c for n, c in E.terms.items()}
+    else:
+        E = exp2(log_char, inner)
+        terms = {(m * shifts[0], n * shifts[1]): c for (m, n), c in E.terms.items()}
+    return type(log_char)(terms, _key(truncations))
+
+
+def _reference_apply(sym, D, truncations):
+    out = {}
+    for k, a in sorted(D.terms.items()):
+        for n, c in _reference_char_power(_parts(k), sym, truncations).terms.items():
+            out[n] = out.get(n, 0j) + a * c
+    return type(D)(_pruned(out), _key(truncations))
+
+
+def _coefficient(rng):
+    """A coefficient of modulus below 1, now and then a signed zero part
+    or a modulus that scale prunes."""
+    c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    pick = rng.random()
+    if pick < 0.1:
+        return complex(c.real, -0.0)
+    if pick < 0.2:
+        return complex(-0.0, c.imag)
+    if pick < 0.25:
+        return c * 1e-300
+    return c
+
+
+def _random_terms(rng, indices, dense):
+    """Coefficients on all of indices (dense) or on at most 8 of them; in
+    one case of three all are real, so that the results have zero parts
+    whose signs show."""
+    indices = list(indices)
+    if not dense:
+        indices = rng.sample(indices, min(len(indices), rng.randint(1, 8)))
+    real = rng.random() < 1 / 3
+    return [(n, complex(c.real, rng.choice([0.0, -0.0])) if real else c)
+            for n, c in ((n, _coefficient(rng)) for n in indices)]
+
+
+class TestCharPowerReadsTheInnerTerms:
+    """_char_power reads only the terms of phi within the truncations left
+    after the slope shift; every result is the one the whole-phi route
+    gives, bit for bit, signed zeros included."""
+
+    def test_single_symbols(self):
+        rng = random.Random(2501)
+        for case in range(300):
+            c0 = case % 3
+            T = rng.choice([8, 32, 64, 128])  # phi may reach past the truncation
+            phi = make_series(_random_terms(rng, range(1, T + 1), case % 2 == 0), T)
+            sym, N = Symbol(c0, phi), rng.choice([16, 64, 128])
+            for k in (1, rng.randint(2, 4), rng.randint(5, 40)):
+                got = _char_power((k,), sym, (N,))
+                assert dumps_series(got) == dumps_series(_reference_char_power((k,), sym, (N,)))
+            D = make_series(_random_terms(rng, range(1, 17), False), 16)
+            assert dumps_series(apply(sym, D, N)) == dumps_series(_reference_apply(sym, D, (N,)))
+
+    def test_double_symbols(self):
+        rng = random.Random(2502)
+        for case in range(300):
+            if case % 2:  # off-diagonal slopes
+                slopes = [rng.randint(0, 2) for _ in range(4)]
+            else:
+                slopes = [rng.randint(0, 2), 0, 0, rng.randint(0, 2)]
+            phis = []
+            for _ in range(2):
+                T = (rng.choice([4, 8, 16]), rng.choice([4, 8, 16]))
+                grid = [(m, n) for m in range(1, T[0] + 1) for n in range(1, T[1] + 1)]
+                phis.append(make_double_series(_random_terms(rng, grid, case % 4 < 2), T))
+            sym, N = DoubleSymbol(*slopes, *phis), (rng.choice([8, 16]), rng.choice([8, 16]))
+            # bases of 1 on either axis, as bohr_commutation_check passes them
+            for ks in ((1, 1), (rng.randint(2, 5), 1), (1, rng.randint(2, 5)),
+                       (rng.randint(2, 5), rng.randint(2, 5))):
+                got = _char_power(ks, sym, N)
+                assert dumps_series(got) == dumps_series(_reference_char_power(ks, sym, N))
+            grid = [(m, n) for m in range(1, 5) for n in range(1, 5)]
+            D = make_double_series(_random_terms(rng, grid, False), (4, 4))
+            assert dumps_series(apply(sym, D, N)) == dumps_series(_reference_apply(sym, D, N))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_a_term_past_the_truncation_cannot_overflow(self, dense):
+        # 50 > 64 // 8: the term cannot reach the result, and -ln 8 * 1e308
+        # is not finite; dense, phi has more terms than the 8 indices in
+        # range
+        far = [(n, 0.5) for n in range(9, 50)] if dense else []
+        sym = Symbol(1, make_series([(1, 2.0)] + far + [(50, 1e308)], 64))
+        got = apply(sym, make_series([(1, 1), (8, 1)], 64), 64)
+        assert got.terms == {1: 1 + 0j, 8: 0.015625000000000007 + 0j}
+        assert abs(got.terms[8] - 8.0 ** -2) < 1e-17
+
+    @pytest.mark.parametrize("far", [(1, 50), (50, 1)])
+    def test_a_double_term_past_the_truncation_cannot_overflow(self, far):
+        phi = make_double_series([((1, 1), 2.0), (far, 1e308)], (64, 64))
+        sym = DoubleSymbol(1, 0, 0, 1, phi, constant_double(2.0, (64, 64)))
+        D = make_double_series([((1, 1), 1), ((8, 8), 1)], (64, 64))
+        got = apply(sym, D, (64, 64))
+        assert set(got.terms) == {(1, 1), (8, 8)}
+        assert abs(got.terms[8, 8] - 8.0 ** -4) < 1e-18
+
+    def test_a_term_in_range_still_overflows(self):
+        sym = Symbol(1, make_series([(1, 2.0), (4, 1e308)], 64))
+        with pytest.raises(ValueError, match=r"^non-finite coefficient: \(-inf\+0j\)$"):
+            apply(sym, make_series([(1, 1), (8, 1)], 64), 64)
+
+    def test_a_sum_of_components_that_overflows(self):
+        # each component, -ln 2 * 1.5e308, is finite; their sum is not
+        phi = make_double_series([((1, 1), 2.0), ((2, 2), 1.5e308)], (8, 8))
+        sym = DoubleSymbol(0, 0, 0, 0, phi, phi)
+        for route in (_char_power, _reference_char_power):
+            with pytest.raises(ValueError, match=r"^non-finite coefficient: \(-inf\+0j\)$"):
+                route((2, 2), sym, (8, 8))
+
+
+class TestApplyArity:
+    @pytest.mark.parametrize("sym, D, truncation", [
+        (identity_symbol(), make_double_series([((2, 3), 1)], (8, 8)), (8, 8)),
+        (identity_symbol(), make_series([(2, 1)], 8), (8, 8)),
+        (identity_double(), make_series([(2, 1)], 8), (8, 8)),
+        (identity_double(), make_double_series([((2, 3), 1)], (8, 8)), 8),
+    ])
+    def test_differing_arities_are_refused(self, sym, D, truncation):
+        with pytest.raises(ValueError, match="^the symbol and the series differ "
+                                             "in the number of variables$"):
+            apply(sym, D, truncation)

@@ -522,6 +522,41 @@ class TestCliOverflow:
         assert captured.err == err
 
 
+class TestCliCompose:
+    """compose reads only the symbol terms the truncation keeps, and
+    refuses a symbol and a series of different arities."""
+
+    def _run(self, tmp_path, capsys, symbol, text):
+        sym = tmp_path / "sym.txt"
+        sym.write_text(symbol)
+        src = tmp_path / "d.txt"
+        src.write_text(text)
+        code = main(["compose", "--symbol", str(sym), "--in", str(src)])
+        return (code,) + tuple(capsys.readouterr())
+
+    def test_a_symbol_term_past_the_truncation(self, tmp_path, capsys):
+        # 50 > 64 // 8, and -ln 8 * 1e308 is not finite
+        symbol = "symbol v1 single 1\ndirichlet v1 single 64\n1 2 0\n50 1e308 0\n"
+        code, out, err = self._run(tmp_path, capsys, symbol, "1 + 8^-s")
+        assert (code, err) == (0, "")
+        assert out == dumps_series(make_series([(1, 1), (8, 0.015625000000000007)], 64))
+
+    def test_an_overflowing_term_in_range(self, tmp_path, capsys):
+        symbol = "symbol v1 single 1\ndirichlet v1 single 64\n1 2 0\n4 1e308 0\n"
+        code, out, err = self._run(tmp_path, capsys, symbol, "1 + 8^-s")
+        assert (code, out, err) == (2, "", "error: non-finite coefficient: (-inf+0j)\n")
+
+    @pytest.mark.parametrize("symbol, text", [
+        (dumps_symbol(Symbol(1, zero_series(8))), "2^-s * 3^-t"),
+        (dumps_symbol(Symbol(1, 0, 0, 1, make_double_series([], (4, 4)),
+                             make_double_series([], (4, 4)))), "2^-s"),
+    ])
+    def test_differing_arities(self, tmp_path, capsys, symbol, text):
+        code, out, err = self._run(tmp_path, capsys, symbol, text)
+        assert (code, out) == (2, "")
+        assert err == "error: the symbol and the series differ in the number of variables\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["selftest"], ["check-symbol", "--symbol", "s.txt"], ["check-compact", "--symbol", "s.txt"],
 ])
