@@ -313,7 +313,8 @@ def hp_norm_estimate(D, p: float, samples: int, seed: int) -> NormEstimate:
 def _even_moment(D, k: int, budget: int):
     """sum |c|^2 over the coefficients of D^k, from k - 1 untruncated
     products by D (mul, or mul2 on the truncation pair); None when they would
-    take more than budget pair products."""
+    take more than budget pair products, and a ValueError if the sum
+    overflows."""
     if not D.terms:
         return 0.0
     if (k - 1) * len(D.terms) > budget:  # each product takes |D| pairs at least
@@ -328,7 +329,18 @@ def _even_moment(D, k: int, budget: int):
         if pairs > budget:
             return None
         acc = product(acc, D, trunc)
-    return sum(abs(c) ** 2 for c in acc.terms.values())
+    try:
+        moment = sum(abs(c) ** 2 for c in acc.terms.values())
+    except OverflowError:
+        moment = math.inf
+    return _finite_moment(moment, 2 * k)
+
+
+def _finite_moment(moment: float, p: float) -> float:
+    """moment, or a ValueError naming p if it is not finite."""
+    if not math.isfinite(moment):
+        raise ValueError("the H^%g moment, the mean of |f|^%g, overflows" % (p, p))
+    return moment
 
 
 def _hp_sampled(D, p: float, samples: int, seed: int) -> NormEstimate:
@@ -337,15 +349,18 @@ def _hp_sampled(D, p: float, samples: int, seed: int) -> NormEstimate:
 
     Deterministic given the seed.  The reported value is the p-th root of
     the sample mean of |Bf|^p; stderr is the moment standard error
-    propagated to the norm by the delta method.
+    propagated to the norm by the delta method.  A moment or a standard
+    error that is not finite raises ValueError.
     """
     import numpy as np
 
     if not 1 <= p < math.inf:  # NaN fails too
         raise ValueError("hp_norm_estimate requires a finite p >= 1")
-    vals = np.abs(_torus_values(D, samples, seed)[1]) ** p
-    moment = float(np.mean(vals))
-    moment_se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.abs(_torus_values(D, samples, seed)[1]) ** p
+        moment = _finite_moment(float(np.mean(vals)), p)
+        moment_se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    _finite_moment(moment_se, p)
     value = moment ** (1.0 / p)
     stderr = moment_se * value / (p * moment) if moment > PRUNE_BELOW else moment_se
     return NormEstimate(value, stderr, samples, seed, "hp", moment, moment_se)

@@ -33,7 +33,9 @@ from .double import (
 from .factor import pair_factorizations
 from .series import (
     DirichletSeries,
+    _blocked,
     _check_index,
+    _exp_blocks,
     _exp_constant,
     _gap,
     _key,
@@ -165,7 +167,7 @@ def _char_power(ks, sym: Symbol, truncations: tuple):
     if 0 in inner:  # a shift beyond its truncation leaves no index in range
         return _make((), truncations)
     # one component is its own sum: add2 runs in two variables only
-    log_char = functools.reduce(add2, (type(phi)(_log_term(phi, k, inner), _key(inner))
+    log_char = functools.reduce(add2, (type(phi)._of(_log_term(phi, k, inner), _key(inner))
                                        for k, phi in zip(ks, sym.phis)))
     if len(ks) == 1:
         (shift,) = shifts
@@ -173,7 +175,7 @@ def _char_power(ks, sym: Symbol, truncations: tuple):
     else:
         sm, sn = shifts
         terms = {(m * sm, n * sn): v for (m, n), v in exp2(log_char, inner).terms.items()}
-    return type(log_char)(terms, _key(truncations))
+    return type(log_char)._of(terms, _key(truncations))
 
 
 def _log_term(phi, k: int, inner: tuple) -> dict:
@@ -212,18 +214,26 @@ def exp2(phi: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
         e_{m,n} = (1/ln(mn)) sum_{(d,f) | (m,n), (d,f) != (1,1)}
                   ln(df) * psi_{d,f} * e_{m/d, n/f},
 
-    solved in increasing order of m*n (a heap) over the pair products of
-    support elements of psi only.  The row loop stops at d > M // m and the
-    entry loop at f > N // n: O(|E| * |psi|), never a loop over [1,M]x[1,N].
+    solved in increasing order of m*n, then m (a heap) over the pair
+    products of support elements of psi only.  The row loop stops at
+    d > M // m and the entry loop at f > N // n: O(|E| * |psi|), never a
+    loop over [1,M]x[1,N].  Dense input takes _blocks.recurrence, as
+    exp_series does (see series._blocked).
     """
-    M, N = truncations
+    M, N = truncations = tuple(truncations)
+    factor = _exp_constant(phi.terms.get((1, 1), 0j))
+    if _blocked(truncations, phi):
+        return _exp_blocks(phi, truncations, factor)
     gens = _rows({(d, f): math.log(d * f) * v for (d, f), v in phi.terms.items()
                   if (d, f) != (1, 1) and d <= M and f <= N})
     acc = {(d, f): g for d, row in gens for f, g in row}
-    heap = sorted((d * f, d, f) for d, f in acc)
+    # (m, n) as the int m*n*(M + 1) + m: it pops in the order of (m*n, m, n)
+    width = M + 1
+    heap = sorted(d * f * width + d for d, f in acc)
     out = {(1, 1): 1 + 0j}
     while heap:
-        mn, m, n = heapq.heappop(heap)
+        mn, m = divmod(heapq.heappop(heap), width)
+        n = mn // m
         e = acc.pop((m, n)) / math.log(mn)
         out[(m, n)] = e
         dmax, fmax = M // m, N // n
@@ -238,9 +248,8 @@ def exp2(phi: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
                     acc[key] += e * g
                 else:
                     acc[key] = e * g
-                    heapq.heappush(heap, (key[0] * key[1], key[0], key[1]))
-    factor = _exp_constant(phi.terms.get((1, 1), 0j))
-    return DoubleDirichletSeries(_pruned({k: factor * v for k, v in out.items()}), (M, N))
+                    heapq.heappush(heap, key[0] * key[1] * width + key[0])
+    return DoubleDirichletSeries._of(_pruned({k: factor * v for k, v in out.items()}), (M, N))
 
 
 def char_power_via_factorizations(k: int, phi: DoubleDirichletSeries,
@@ -292,7 +301,7 @@ def apply(sym, D, truncation):
     for k, a in sorted(D.terms.items()):
         for n, c in power(*_parts(k), sym, truncation).terms.items():
             out[n] = out.get(n, 0j) + a * c
-    return type(D)(_pruned(out), truncation)
+    return type(D)._of(_pruned(out), truncation)
 
 
 def apply_double(sym: Symbol, D: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:

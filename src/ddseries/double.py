@@ -11,8 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .series import (DirichletSeries, _point_sum, _pruned, _Series, _validated, evaluate,
-                     make_series, scale)
+from .series import (DirichletSeries, _blocked, _point_sum, _pruned, _Series, _validated,
+                     evaluate, make_series, scale)
 
 
 @dataclass(frozen=True)
@@ -21,18 +21,19 @@ class DoubleDirichletSeries(_Series):
 
     terms: dict[tuple[int, int], complex]
     truncations: tuple[int, int]
+    _TRUNCATION = "truncations"  # the field _of sets
 
     def __post_init__(self):
-        M, N = self.truncations
-        if M < 1 or N < 1:
-            raise ValueError("truncations must be positive integers")
+        if len(self.truncations) != 2:
+            raise ValueError("a double series takes a pair of truncations")
+        super().__post_init__()
 
 
 def make_double_series(terms, truncations) -> DoubleDirichletSeries:
     """Build a double series from ((m, n), coefficient) pairs (see
     series._validated)."""
     truncations = tuple(truncations)
-    return DoubleDirichletSeries(_validated(terms, truncations), truncations)
+    return DoubleDirichletSeries._of(_validated(terms, truncations), truncations)
 
 
 def zero_double(truncations=(1, 1)) -> DoubleDirichletSeries:
@@ -62,7 +63,7 @@ def add2(A: DoubleDirichletSeries, B: DoubleDirichletSeries) -> DoubleDirichletS
     for k, v in B.terms.items():
         if k[0] <= M and k[1] <= N:
             out[k] = out.get(k, 0j) + v
-    return DoubleDirichletSeries(_pruned(out), (M, N))
+    return DoubleDirichletSeries._of(_pruned(out), (M, N))
 
 
 scale2 = scale
@@ -103,9 +104,15 @@ def _convolve2(A: dict, B: dict, truncations) -> dict:
 
 
 def mul2(A: DoubleDirichletSeries, B: DoubleDirichletSeries, truncations) -> DoubleDirichletSeries:
-    """Two-variable Dirichlet convolution (see _convolve2)."""
-    return DoubleDirichletSeries(_pruned(_convolve2(A.terms, B.terms, truncations)),
-                                 tuple(truncations))
+    """Two-variable Dirichlet convolution (see _convolve2); dense input
+    takes _blocks.convolve (see series._blocked)."""
+    truncations = tuple(truncations)
+    if _blocked(truncations, A, B):
+        from . import _blocks
+        return DoubleDirichletSeries._of(_blocks.convolve(A.terms, B.terms, truncations),
+                                         truncations)
+    return DoubleDirichletSeries._of(_pruned(_convolve2(A.terms, B.terms, truncations)),
+                                     truncations)
 
 
 def evaluate2(D: DoubleDirichletSeries, s: complex, t: complex) -> complex:
@@ -120,7 +127,7 @@ def row_series(D: DoubleDirichletSeries, m: int) -> DirichletSeries:
     """Row subseries alpha_m(t) = sum_n a_{m,n} n^{-t}."""
     if not 1 <= m <= D.truncations[0]:
         raise ValueError("row index %d out of range 1..%d" % (m, D.truncations[0]))
-    return DirichletSeries(
+    return DirichletSeries._of(
         {n: a for (mm, n), a in D.terms.items() if mm == m}, D.truncations[1]
     )
 
@@ -128,11 +135,11 @@ def row_series(D: DoubleDirichletSeries, m: int) -> DirichletSeries:
 def embed_single(D: DirichletSeries, axis: str = "first") -> DoubleDirichletSeries:
     """Embed a single series on the first (column n=1) or second (row m=1) axis."""
     if axis == "first":
-        return DoubleDirichletSeries(
+        return DoubleDirichletSeries._of(
             {(n, 1): a for n, a in D.terms.items()}, (D.truncation, 1)
         )
     if axis == "second":
-        return DoubleDirichletSeries(
+        return DoubleDirichletSeries._of(
             {(1, n): a for n, a in D.terms.items()}, (1, D.truncation)
         )
     raise ValueError("axis must be 'first' or 'second'")
@@ -163,9 +170,9 @@ def regular_check(D: DoubleDirichletSeries, s: complex, t: complex) -> dict:
         cols.setdefault(n, {})[m] = a
 
     def nested(groups, inner, outer, truncations):
-        sums = {k: evaluate(DirichletSeries(groups[k], truncations[1]), inner)
+        sums = {k: evaluate(DirichletSeries._of(groups[k], truncations[1]), inner)
                 for k in sorted(groups)}
-        return evaluate(DirichletSeries(sums, truncations[0]), outer)
+        return evaluate(DirichletSeries._of(sums, truncations[0]), outer)
 
     by_rows = nested(rows, t, s, D.truncations)
     by_cols = nested(cols, s, t, D.truncations[::-1])

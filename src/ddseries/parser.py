@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .double import DoubleDirichletSeries, _convolve2
-from .series import DirichletSeries, _check_finite, _pruned
+from .series import DirichletSeries, _check_finite, _check_truncations, _pruned
 
 MAX_INPUT = 1 << 20  # 1 MB
 # Each parenthesis level costs three frames of the recursive descent; the
@@ -149,10 +149,12 @@ def parse_expression(text: str, truncation: int = 64):
     kind, rest, offset = parser.tokens[parser.pos]
     if kind != "end":
         raise _error(text, "unexpected token %r" % rest, offset)
+    # every index was checked against the truncation as it was parsed
+    _check_truncations((truncation,))
     terms = _pruned(terms)
     if parser.saw_t:
-        return DoubleDirichletSeries(terms, (truncation, truncation))
-    return DirichletSeries({m: c for (m, _), c in terms.items()}, truncation)
+        return DoubleDirichletSeries._of(terms, (truncation, truncation))
+    return DirichletSeries._of({m: c for (m, _), c in terms.items()}, truncation)
 
 
 def print_expression(series) -> str:

@@ -58,15 +58,25 @@ def _key(parts: tuple):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
+def _check_truncations(truncations: tuple) -> None:
+    """A ValueError unless every truncation is a positive integer."""
+    try:
+        if min(map(_check_index, truncations)) >= 1:
+            return
+    except ValueError:
+        pass
+    raise ValueError("truncation must be a positive integer")
+
+
 def _validated(terms, truncations: tuple) -> dict:
     """The {index: coefficient} map of (index, coefficient) pairs, an index
     being an int for one truncation and a pair for two.
 
-    Duplicate indices, non-integer or bool entries, entries outside
-    1..truncation and non-finite coefficients are rejected.
+    A truncation that is not a positive integer, duplicate indices,
+    non-integer or bool entries, entries outside 1..truncation and
+    non-finite coefficients are rejected.
     """
-    if min(truncations) < 1:
-        raise ValueError("truncation must be a positive integer")
+    _check_truncations(truncations)
     single = len(truncations) == 1
     out: dict = {}
     for key, c in terms:
@@ -99,6 +109,20 @@ class _Series:
     def l1_norm(self) -> float:
         return sum(abs(c) for c in self.terms.values())
 
+    def __post_init__(self):
+        """The one door of construction: whatever _validated rejects raises
+        ValueError here too."""
+        _validated(self.terms.items(), self.truncations)
+
+    @classmethod
+    def _of(cls, terms: dict, truncation):
+        """cls(terms, truncation) without the checks of __post_init__, for
+        the kernels, whose terms are in range by construction."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["terms"], fields[cls._TRUNCATION] = terms, truncation
+        return self
+
 
 @dataclass(frozen=True)
 class DirichletSeries(_Series):
@@ -106,10 +130,7 @@ class DirichletSeries(_Series):
 
     terms: dict[int, complex]
     truncation: int
-
-    def __post_init__(self):
-        if self.truncation < 1:
-            raise ValueError("truncation must be a positive integer")
+    _TRUNCATION = "truncation"  # the field _of sets
 
     @property
     def truncations(self) -> tuple[int]:
@@ -119,7 +140,7 @@ class DirichletSeries(_Series):
 
 def make_series(terms, truncation: int) -> DirichletSeries:
     """Build a series from (index, coefficient) pairs (see _validated)."""
-    return DirichletSeries(_validated(terms, (truncation,)), truncation)
+    return DirichletSeries._of(_validated(terms, (truncation,)), truncation)
 
 
 def zero_series(truncation: int = 1) -> DirichletSeries:
@@ -137,13 +158,45 @@ def add(A: DirichletSeries, B: DirichletSeries) -> DirichletSeries:
     for n, c in B.terms.items():
         if n <= trunc:
             out[n] = out.get(n, 0j) + c
-    return DirichletSeries(_pruned(out), trunc)
+    return DirichletSeries._of(_pruned(out), trunc)
 
 
 def scale(A, c: complex):
     """Every coefficient times c, for a single or a double series."""
     c = _check_finite(c)
-    return type(A)(_pruned({n: a * c for n, a in A.terms.items()}), _key(A.truncations))
+    return type(A)._of(_pruned({n: a * c for n, a in A.terms.items()}), _key(A.truncations))
+
+
+# the fewest cells, in one variable and in two, at which dense operands pay
+# numpy's fixed cost (see _blocked)
+_BLOCK_CELLS = (112, 56)
+
+
+def _blocked(truncations, *operands) -> bool:
+    """Whether a kernel at truncations takes the numpy block path of
+    _blocks: the grid 1..N, or [1, M] x [1, N], has at least _BLOCK_CELLS
+    cells, and every operand has at least one term for every two cells and
+    indices that fit an int64.
+
+    Measured on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4) with operands
+    that fill the grid, the block path overtakes the dict kernels at about
+    72 cells for mul, 100 to 112 for exp_series and 128 for log_series; in
+    two variables, where the dict kernels pay more per pair, at about 45
+    cells for mul2 and 56 (7 x 8) for exp2.  Below that numpy's fixed cost
+    of 0.05 to 0.15 ms per call dominates; at N = 2048 and 32 x 32 the
+    block path is 3 to 9 times faster.  A sparse operand would make the
+    block path pay for cells that hold nothing, where the dict kernels
+    visit only the pairs of terms: so sparse input (a few terms at a large
+    truncation, or bohr._even_moment's products at a truncation of
+    max(D)^k) never takes it.
+    """
+    cells = math.prod(truncations)
+    if cells < _BLOCK_CELLS[len(truncations) - 1]:
+        return False
+    for D in operands:  # a sparse operand returns at once
+        if 2 * len(D.terms) < cells or max(D.truncations) >= 2**62:
+            return False
+    return True
 
 
 def mul(A: DirichletSeries, B: DirichletSeries, truncation: int) -> DirichletSeries:
@@ -151,8 +204,13 @@ def mul(A: DirichletSeries, B: DirichletSeries, truncation: int) -> DirichletSer
 
     B's terms are sorted once and the inner loop stops at the first
     e > truncation // d, so only pairs that land in range are visited:
-    O(N log N) for dense inputs instead of |A|*|B|.
+    O(N log N) for dense inputs instead of |A|*|B|.  Dense input takes
+    _blocks.convolve (see _blocked).
     """
+    if _blocked((truncation,), A, B):
+        from . import _blocks
+        return DirichletSeries._of(_blocks.convolve(A.terms, B.terms, (truncation,)),
+                                   truncation)
     bs = sorted(B.terms.items())
     out: dict[int, complex] = {}
     for d, a in A.terms.items():
@@ -162,7 +220,7 @@ def mul(A: DirichletSeries, B: DirichletSeries, truncation: int) -> DirichletSer
                 break
             n = d * e
             out[n] = out.get(n, 0j) + a * b
-    return DirichletSeries(_pruned(out), truncation)
+    return DirichletSeries._of(_pruned(out), truncation)
 
 
 def _point_sum(terms, point) -> complex:
@@ -193,18 +251,19 @@ def translate(D: DirichletSeries, sigma: float) -> DirichletSeries:
     """Horizontal translate: the series of s -> D(s + sigma), sigma >= 0."""
     if sigma < 0:
         raise ValueError("translate requires sigma >= 0")
-    return DirichletSeries(
+    return DirichletSeries._of(
         _pruned({n: a * n ** (-sigma) for n, a in D.terms.items()}), D.truncation
     )
 
 
-def _recurrence(acc: dict, gens: list, finish, truncation: int) -> dict:
+def _recurrence(acc: dict, gens: list, finish, truncation: int, coef: dict) -> dict:
     """Solve a triangular recurrence over the indices reachable from acc.
 
-    Indices are taken in increasing order from a heap.  finish(n, acc_n)
-    turns the sum gathered at n into (value_n, weight_n); weight_n * g_e is
-    then pushed to n*e for every generator (e, g_e) of the sorted list gens
-    with n*e <= truncation.  Every push goes to a larger index, so acc_n is
+    Indices are taken in increasing order from a heap.  finish(ln n, t, c)
+    turns t = acc_n / ln n, acc_n the sum gathered at n, and c = coef[n]
+    (0 if absent) into (value_n, weight_n); weight_n * g_e is then pushed to
+    n*e for every generator (e, g_e) of the sorted list gens with
+    n*e <= truncation.  Every push goes to a larger index, so acc_n is
     complete when n is taken.  The cost is the number of pushes, at most
     |result| * |gens|, and indices that no product reaches are never visited.
     """
@@ -212,7 +271,8 @@ def _recurrence(acc: dict, gens: list, finish, truncation: int) -> dict:
     out = {}
     while heap:
         n = heapq.heappop(heap)
-        value, weight = finish(n, acc.pop(n))
+        ln = math.log(n)
+        value, weight = finish(ln, acc.pop(n) / ln, coef.get(n, 0j))
         out[n] = value
         bound = truncation // n
         for e, g in gens:
@@ -235,6 +295,19 @@ def _exp_constant(c: complex) -> complex:
         raise ValueError("exp of the constant term %r overflows" % (c,)) from None
 
 
+def _exp_finish(ln, e, c):
+    """The (value, weight) of exp's recurrence: e = s / ln, pushed as it is."""
+    return e, e
+
+
+def _exp_blocks(phi, truncations: tuple, factor: complex):
+    """factor * exp(psi), psi = phi less its constant term, on the block path:
+    exp_series and exp2 of dense input."""
+    from . import _blocks
+    return type(phi)._of(_blocks.recurrence(phi.terms, truncations, operator.mul, (1, 1),
+                                            _exp_finish, factor), _key(truncations))
+
+
 def exp_series(phi: DirichletSeries, truncation: int) -> DirichletSeries:
     """Formal exponential exp(a_1) * exp(psi), psi = phi - a_1.
 
@@ -245,20 +318,17 @@ def exp_series(phi: DirichletSeries, truncation: int) -> DirichletSeries:
 
     The support is the set of products of support elements of psi (and 1).
     Solved in one pass over that set (see _recurrence): O(|E| * |psi|) and
-    O(N log N) for dense input, never a loop over 1..N.
+    O(N log N) for dense input, never a loop over 1..N.  Dense input takes
+    _blocks.recurrence (see _blocked).
     """
-    a1 = phi.terms.get(1, 0j)
+    factor = _exp_constant(phi.terms.get(1, 0j))
+    if _blocked((truncation,), phi):
+        return _exp_blocks(phi, (truncation,), factor)
     gens = sorted((d, math.log(d) * c) for d, c in phi.terms.items() if 1 < d <= truncation)
-
-    def finish(n, s):
-        e = s / math.log(n)
-        return e, e
-
     out = {1: 1 + 0j}
     # the pushes from e_1 = 1 seed the recurrence
-    out.update(_recurrence(dict(gens), gens, finish, truncation))
-    factor = _exp_constant(a1)
-    return DirichletSeries(_pruned({n: factor * c for n, c in out.items()}), truncation)
+    out.update(_recurrence(dict(gens), gens, _exp_finish, truncation, {}))
+    return DirichletSeries._of(_pruned({n: factor * c for n, c in out.items()}), truncation)
 
 
 def log_series(D: DirichletSeries, truncation: int) -> DirichletSeries:
@@ -271,17 +341,21 @@ def log_series(D: DirichletSeries, truncation: int) -> DirichletSeries:
         L_n = u_n - (1/ln n) sum_{d | n, 1 < d < n} ln d * L_d * u_{n/d},
 
     one pass over the products of support elements of u: O(|L| * |u|).
+    Dense input takes _blocks.recurrence (see _blocked).
     """
     a1 = D.terms.get(1, 0j)
     if a1 == 0:
         raise ValueError("log_series requires a nonzero constant term")
     u = {n: c / a1 for n, c in D.terms.items() if 1 < n <= truncation}
 
-    def finish(n, s):
-        ln = math.log(n)
-        value = u.get(n, 0j) - s / ln
+    def finish(ln, t, u_n):
+        value = u_n - t
         return value, ln * value
 
+    if _blocked((truncation,), D):
+        from . import _blocks
+        return DirichletSeries._of(_blocks.recurrence(
+            u, (truncation,), lambda ln, c: c, (cmath.log(a1), 0), finish), truncation)
     out = {1: cmath.log(a1)}
-    out.update(_recurrence(dict.fromkeys(u, 0j), sorted(u.items()), finish, truncation))
-    return DirichletSeries(_pruned(out), truncation)
+    out.update(_recurrence(dict.fromkeys(u, 0j), sorted(u.items()), finish, truncation, u))
+    return DirichletSeries._of(_pruned(out), truncation)

@@ -88,6 +88,20 @@ def test_import_loads_no_numpy():
     assert run_fresh("import sys, ddseries; print('numpy' in sys.modules)") == "False"
 
 
+@pytest.mark.parametrize("size, loaded", [(16, "False False"), (512, "True True")])
+def test_small_algebra_loads_no_numpy(size, loaded):
+    """Small dense kernels stay on the dict path: neither numpy nor the
+    block kernels load until an input is large enough for them."""
+    code = ("import sys, ddseries\nfrom ddseries.compose import exp2\n"
+            "D = ddseries.make_series([(n, 1 / n) for n in range(1, %d)], %d)\n"
+            "ddseries.mul(D, D, %d), ddseries.exp_series(D, %d), ddseries.log_series(D, %d)\n"
+            "E = ddseries.make_double_series([((m, 1), 1 / m) for m in range(1, 5)], (4, 4))\n"
+            "exp2(E, (4, 4)), ddseries.mul2(E, E, (4, 4))\n"
+            "print('numpy' in sys.modules, 'ddseries._blocks' in sys.modules)"
+            % ((size + 1,) + (size,) * 4))
+    assert run_fresh(code) == loaded
+
+
 def test_first_verifier_access_binds_all_seven():
     """The tracer finds the verifiers in vars(ddseries) once one is used."""
     code = ("import sys, ddseries\nfrom ddseries import line_sup_estimate\n"

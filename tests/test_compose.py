@@ -400,7 +400,7 @@ def _reference_char_power(ks, sym, truncations):
     inner = tuple(map(operator.floordiv, truncations, shifts))
     if 0 in inner:
         return _make((), truncations)
-    log_char = functools.reduce(add2, (scale(type(phi)(phi.terms, _key(inner)), -math.log(k))
+    log_char = functools.reduce(add2, (scale(type(phi)._of(phi.terms, _key(inner)), -math.log(k))
                                        for k, phi in zip(ks, sym.phis)))
     if len(ks) == 1:
         E = exp_series(log_char, inner[0])

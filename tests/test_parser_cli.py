@@ -509,6 +509,14 @@ class TestCliOverflow:
         (["eval", "--s", "-30"], "1e300*2^-s", "error: the value at (-30+0j) overflows\n"),
         (["eval", "--s", "1", "--t", "-2000"], "1 + 2^-t",
          "error: the value at ((1+0j), (-2000+0j)) overflows\n"),
+        # a moment that overflows: exact and even, exact within Young's
+        # check, sampled
+        (["norm", "--p", "2", "--seed", "1"], "1e308*2^-s + 1e308*3^-s",
+         "error: the H^2 moment, the mean of |f|^2, overflows\n"),
+        (["check-young", "--k", "2", "--p", "4", "--q", "1", "--seed", "1"], "1e300*2^-s",
+         "error: the H^2 moment, the mean of |f|^2, overflows\n"),
+        (["norm", "--p", "3000", "--samples", "64", "--seed", "1"], "1 + 2^-s",
+         "error: the H^3000 moment, the mean of |f|^3000, overflows\n"),
     ])
     def test_exit_2(self, tmp_path, capsys, argv, text, err):
         sym = tmp_path / "sym.txt"

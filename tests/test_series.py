@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from ddseries.double import DoubleDirichletSeries
 from ddseries.series import (
     DirichletSeries,
     _pruned,
@@ -68,6 +69,48 @@ class TestMakeSeries:
             make_series([(2, complex(float("nan"), 0))], 10)
         with pytest.raises(ValueError):
             make_series([(2, complex(float("inf"), 0))], 10)
+
+
+class TestOneDoor:
+    """Every series is checked where it is built; the kernels build theirs
+    through the trusted DirichletSeries._of."""
+
+    def test_the_reproducer(self):
+        # accepted once, and mul of it with itself divided by zero
+        with pytest.raises(ValueError, match="^index 128 exceeds truncation 64$"):
+            DirichletSeries({128: 1, 0: 2}, 64)
+
+    @pytest.mark.parametrize("terms, truncation, message", [
+        ({0: 1}, 8, "index 0 out of range"),
+        ({-3: 1}, 8, "index -3 out of range"),
+        ({9: 1}, 8, "index 9 exceeds truncation 8"),
+        ({2.0: 1}, 8, "index 2.0 is not an integer"),
+        ({True: 1}, 8, "index True is not an integer"),
+        ({(1, 2): 1}, 8, r"index \(1, 2\) is not an integer"),
+        ({}, 0, "truncation must be a positive integer"),
+        ({}, 2.5, "truncation must be a positive integer"),
+    ])
+    def test_single(self, terms, truncation, message):
+        with pytest.raises(ValueError, match="^" + message):
+            DirichletSeries(terms, truncation)
+
+    @pytest.mark.parametrize("terms, truncations, message", [
+        ({(0, 1): 1}, (4, 4), r"index \(0, 1\) out of range"),
+        ({(1, 5): 1}, (4, 4), r"index \(1, 5\) exceeds truncation \(4, 4\)"),
+        ({(1, 2, 3): 1}, (4, 4), r"index \(1, 2, 3\) does not fit"),
+        ({}, (4, 0), "truncation must be a positive integer"),
+        ({}, (4,), "a double series takes a pair of truncations"),
+    ])
+    def test_double(self, terms, truncations, message):
+        with pytest.raises(ValueError, match="^" + message):
+            DoubleDirichletSeries(terms, truncations)
+
+    def test_the_trusted_path_builds_equal_series(self):
+        assert DirichletSeries._of({2: 1j}, 4) == DirichletSeries({2: 1j}, 4)
+        assert (DoubleDirichletSeries._of({(1, 2): 1j}, (4, 4))
+                == DoubleDirichletSeries({(1, 2): 1j}, (4, 4)))
+        A = make_series([(1, 1), (2, 1)], 128)
+        assert mul(A, A, 128) == DirichletSeries({1: 1 + 0j, 2: 2 + 0j, 4: 1 + 0j}, 128)
 
 
 class TestAdd:
