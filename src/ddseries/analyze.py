@@ -176,6 +176,11 @@ def three_lines_check(D: DoubleDirichletSeries, sigma1: float, sigma2: float,
     return ThreeLinesReport(slack >= -1e-6, slack, mid, corners, weights)
 
 
+# the rounding of a phase omega tau at |tau| <= T, in units of |omega| T: a
+# few units in the last place of the products and sums that form it
+_PHASE_ULPS = 4 * 2.0**-52
+
+
 @dataclass
 class ExtractedCoefficient:
     value: complex
@@ -250,8 +255,12 @@ def coefficient_extract(evaluator, j: int, sigma: float, T: float,
     (h / 2T) sin(omega T) cot(omega h / 2), so each index n != j adds
     |a_n| (j/n)^{sigma+1} min(1, |cot(omega h / 2)| / panels) for
     omega = ln(j/n).  While |omega| h <= pi this is at most the O(1/T)
-    estimate 1 / (T |omega|).  A sigma at which some (j/n)^{sigma+1}
-    overflows raises ValueError.
+    estimate 1 / (T |omega|).  Each competing term also adds
+    |a_n| (j/n)^{sigma+1} min(2, _PHASE_ULPS |omega| T): a node's phase
+    omega tau is rounded to a few units in the last place of |omega| T, which
+    from T of about 1e16 on passes the quadrature term.  A sigma at which
+    some (j/n)^{sigma+1} overflows, or a T at which the mean value is not
+    finite, raises ValueError.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
@@ -259,7 +268,10 @@ def coefficient_extract(evaluator, j: int, sigma: float, T: float,
         raise ValueError("T must be positive and finite, and sigma finite")
     if panels < 1:
         raise ValueError("panels must be >= 1")
-    value = _mean_value(evaluator, j, sigma, T, panels)
+    with np.errstate(all="ignore"):
+        value = _mean_value(evaluator, j, sigma, T, panels)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError("the mean value over [-T, T] is not finite at T %r" % (T,))
     bound = None
     if support is not None:
         others = [n for n in support if n != j]
@@ -267,7 +279,8 @@ def coefficient_extract(evaluator, j: int, sigma: float, T: float,
         size = np.abs(np.array([support[n] for n in others], dtype=complex)) * weight
         with np.errstate(divide="ignore"):
             mean = np.minimum(1.0, np.abs(1 / np.tan(omega * T / panels)) / panels)
-        bound = float(size @ mean)
+        phase = np.minimum(2.0, _PHASE_ULPS * np.abs(omega) * T)
+        bound = float(size @ (mean + phase))
     return ExtractedCoefficient(value, bound)
 
 

@@ -375,13 +375,17 @@ def hinf_norm_estimate(D, samples: int, seed: int) -> NormEstimate:
     start far from a maximum may then end at another local maximum.
 
     The value is the larger of the best sample and the ascent; the true
-    norm lies between it and the attached coefficient-l1 bound `upper`.
+    norm lies between it and the attached coefficient-l1 bound `upper`.  A
+    bound that is not finite raises ValueError.
     """
     import numpy as np
 
+    upper = D.l1_norm()
+    if not math.isfinite(upper):
+        raise ValueError("the H^inf bound, the sum of |c|, overflows")
     phases, values, E, coeffs = _torus_values(D, samples, seed)
     used = E.any(axis=0)
     phases, E = phases[:, used], E[:, used]
     count = min(_TORUS_STARTS, max(1, _ASCENT_WORK // max(1, E.shape[0] * E.shape[1]**2)))
     value, _ = _climb(2 * np.pi * E, coeffs, phases, np.abs(values), count)
-    return NormEstimate(value, 0.0, samples, seed, "hinf-lower", upper=float(D.l1_norm()))
+    return NormEstimate(value, 0.0, samples, seed, "hinf-lower", upper=float(upper))

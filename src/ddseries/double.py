@@ -33,6 +33,8 @@ def make_double_series(terms, truncations) -> DoubleDirichletSeries:
     """Build a double series from ((m, n), coefficient) pairs (see
     series._validated)."""
     truncations = tuple(truncations)
+    if len(truncations) != 2:
+        raise ValueError("a double series takes a pair of truncations")
     return DoubleDirichletSeries._of(_validated(terms, truncations), truncations)
 
 

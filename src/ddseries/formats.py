@@ -35,14 +35,16 @@ def _clean_lines(text: str) -> list[str]:
 def _fields(kind, words, name: str, line: str) -> tuple:
     """Words of a line read as kind (int or float); a FormatError that
     names the field and quotes the line when one is not."""
-    values = []
+    try:
+        return tuple(map(kind, words))
+    except ValueError:
+        pass  # find the word
     for word in words:
         try:
-            values.append(kind(word))
+            kind(word)
         except ValueError:
             what = "an integer" if kind is int else "a number"
             raise FormatError("%s %r in line %r is not %s" % (name, word, line, what)) from None
-    return tuple(values)
 
 
 def _fmt(x: float) -> str:

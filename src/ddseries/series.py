@@ -29,6 +29,8 @@ def _check_finite(c: complex) -> complex:
 
 def _check_index(n) -> int:
     """n as a Python int; bools and non-integer types are rejected."""
+    if type(n) is int:
+        return n
     if isinstance(n, bool):
         raise ValueError("index %r is not an integer" % (n,))
     try:
@@ -37,10 +39,21 @@ def _check_index(n) -> int:
         raise ValueError("index %r is not an integer" % (n,)) from None
 
 
+def _small(v: complex) -> bool:
+    """|v| < PRUNE_BELOW, and False for a modulus past the largest float."""
+    try:
+        return abs(v) < PRUNE_BELOW
+    except OverflowError:
+        return False
+
+
 def _pruned(terms: dict) -> dict:
     """terms less those below PRUNE_BELOW in modulus; an inf or NaN raises
     ValueError, looked for value by value only when the sum is not finite."""
-    out = {k: v for k, v in terms.items() if not abs(v) < PRUNE_BELOW}
+    try:
+        out = {k: v for k, v in terms.items() if not abs(v) < PRUNE_BELOW}
+    except OverflowError:  # a finite value whose modulus overflows is kept
+        out = {k: v for k, v in terms.items() if not _small(v)}
     if not cmath.isfinite(sum(out.values())):
         for v in out.values():
             _check_finite(v)
@@ -74,19 +87,27 @@ def _validated(terms, truncations: tuple) -> dict:
 
     A truncation that is not a positive integer, duplicate indices,
     non-integer or bool entries, entries outside 1..truncation and
-    non-finite coefficients are rejected.
+    non-finite coefficients are rejected.  An index of the right arity
+    whose entries are of type int is taken as it is; any other goes
+    through _check_index.
     """
     _check_truncations(truncations)
     single = len(truncations) == 1
+    first, last = truncations[0], truncations[-1]
     out: dict = {}
     for key, c in terms:
-        parts = tuple(map(_check_index, (key,) if single else key))
-        key = _key(parts)
-        if len(parts) != len(truncations):
-            raise ValueError("index %r does not fit truncations %r" % (key, truncations))
-        if min(parts) < 1:
+        parts = (key,) if single else key
+        # the first and last entries are all the entries of an index of
+        # one or two
+        if (type(parts) is not tuple or len(parts) != len(truncations)
+                or type(parts[0]) is not int or type(parts[-1]) is not int):
+            parts = tuple(map(_check_index, parts))
+            key = _key(parts)
+            if len(parts) != len(truncations):
+                raise ValueError("index %r does not fit truncations %r" % (key, truncations))
+        if parts[0] < 1 or parts[-1] < 1:
             raise ValueError("index %r out of range (must be >= 1)" % (key,))
-        if any(i > t for i, t in zip(parts, truncations)):
+        if parts[0] > first or parts[-1] > last:
             raise ValueError("index %r exceeds truncation %r" % (key, _key(truncations)))
         if key in out:
             raise ValueError("duplicate index %r" % (key,))
@@ -107,7 +128,11 @@ class _Series:
         return not self.terms
 
     def l1_norm(self) -> float:
-        return sum(abs(c) for c in self.terms.values())
+        """sum |c|; inf once it, or a modulus, passes the largest float."""
+        try:
+            return sum(abs(c) for c in self.terms.values())
+        except OverflowError:  # abs of a finite complex can overflow
+            return math.inf
 
     def __post_init__(self):
         """The one door of construction: whatever _validated rejects raises

@@ -120,6 +120,12 @@ class TestParseGrowth:
         ratio = self._best_of_3(text(8000), 8000) / self._best_of_3(text(1000), 1000)
         assert ratio <= 20, ratio
 
+    def test_trailing_whitespace_is_read_once(self):
+        # a lexer that tried a match from each position of the run would
+        # take seconds at 32 K blanks and hours at the 1 MB cap
+        assert self._best_of_3("1" + " " * (1 << 15), 64) < 0.2
+        assert self._best_of_3("1" + " " * (MAX_INPUT - 1), 64) < 1.0
+
     def test_round_trip_of_sixteen_thousand_terms(self):
         rng = random.Random(16000)
         D = make_series(
@@ -700,3 +706,39 @@ class TestCliLimits:
     def test_compose2_is_gone(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compose2", "--symbol", "sym.txt"])
+
+
+class TestCoeffAtLargeHeights:
+    def test_a_mean_value_that_is_not_finite_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "d.txt"
+        src.write_text("1 + 2^-s")
+        assert main(["coeff", "--in", str(src), "--j", "2", "--T", "1e308"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "not finite" in err
+
+    @pytest.mark.parametrize("T", ["1e16", "1e17"])
+    def test_the_bound_covers_phase_rounding(self, tmp_path, capsys, T):
+        # at these heights the rounding of omega * tau, not the quadrature,
+        # sets the error: 2.2e-5 and 1.2e-4 for this series
+        src = tmp_path / "d.txt"
+        src.write_text("1 + 2^-s")
+        assert main(["coeff", "--in", str(src), "--j", "2", "--T", T]) == 0
+        _, _, re, im, bound = capsys.readouterr().out.split()
+        assert abs(complex(float(re), float(im)) - 1) <= float(bound)
+
+
+class TestCoefficientsPastTheFloatRange:
+    """A finite coefficient whose modulus passes the largest float parses,
+    and its norm ends in one error line, not a traceback."""
+
+    def test_parses(self):
+        assert parse_expression("1.7e308+1.7e308i").terms == {1: complex(1.7e308, 1.7e308)}
+
+    @pytest.mark.parametrize("p", ["inf", "2", "3"])
+    def test_norm_exits_2(self, tmp_path, capsys, p):
+        src = tmp_path / "d.txt"
+        src.write_text("1.7e308+1.7e308i + 2^-s")
+        assert main(["norm", "--in", str(src), "--p", p, "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
